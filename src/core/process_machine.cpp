@@ -119,15 +119,13 @@ void ProcessMachine::StagingHost::inject_receive(const net::FilterDevice*,
 ProcessMachine::ProcessMachine(net::Topology topo,
                                net::GridLatencyModel::Config link,
                                MachineOptions options)
-    : topo_(std::move(topo)),
+    : Machine(std::move(topo)),
       options_(options),
       model_(&topo_, link),
       epoch_(std::chrono::steady_clock::now()),
-      dead_(topo_.num_nodes()),
       sent_to_(topo_.num_nodes()),
       acct_from_(topo_.num_nodes()),
-      undeliv_to_(topo_.num_nodes()),
-      congested_(topo_.num_nodes()) {
+      undeliv_to_(topo_.num_nodes()) {
   MDO_CHECK(topo_.num_nodes() >= 1);
   // Devices installed before the fork bind to the staging host; the
   // per-process SocketFabric rebinds them when it takes the chain.
@@ -141,71 +139,14 @@ ProcessMachine::ProcessMachine(net::Topology topo,
     row.undeliv_to.assign(topo_.num_nodes(), 0);
   }
   cached_metrics_.resize(topo_.num_nodes());
+  // Inherited by every process: each one's own reliable device drives its
+  // own congestion flags and drains its own lot through its own fabric.
+  parking_.set_resend([this](Envelope&& env) { dispatch(std::move(env)); });
 
   // Per-process sources: every process (parent included) publishes its
   // own scheduler/memory/trace state into local_metrics_; the fabric and
   // socket sources join at the fork (setup_process).
-  local_metrics_.add_source("rt.sched", [this](obs::MetricSink& sink) {
-    PeStats s;
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      s = stats_;
-    }
-    std::uint64_t queued = 0;
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      queued = queue_.size();
-    }
-    sink.counter("msgs_executed", s.msgs_executed);
-    sink.counter("msgs_sent", s.msgs_sent);
-    sink.counter("msgs_dropped", s.msgs_dropped);
-    sink.counter("busy_ns", static_cast<std::uint64_t>(s.busy_ns));
-    sink.counter("pes_killed", kills_.load(std::memory_order_acquire));
-    std::uint64_t parked_depth = 0;
-    {
-      std::lock_guard<std::mutex> lock(park_mutex_);
-      sink.counter("stall_parked", stall_parked_);
-      sink.counter("stall_resumed", stall_resumed_);
-      sink.counter("stall_shed", stall_shed_);
-      for (const auto& [dst, q] : parked_) parked_depth += q.size();
-    }
-    sink.gauge("queue_depth", static_cast<double>(queued));
-    sink.gauge("parked_depth", static_cast<double>(parked_depth));
-  });
-  local_metrics_.add_source("rt.sched.shard", [this](obs::MetricSink& sink) {
-    // Same schema as the single-process backends. Each process is one
-    // scheduler shard by construction (shards sum to the mesh size in
-    // the aggregated parent snapshot); a "handoff" is an envelope landing
-    // on this process's queue, a "batch" one dequeue, and there is no
-    // bounded-ring fallback path.
-    sink.counter("handoffs", handoffs_.load(std::memory_order_relaxed));
-    sink.counter("handoff_batches",
-                 handoff_pops_.load(std::memory_order_relaxed));
-    sink.counter("handoff_fallbacks", 0);
-    sink.gauge("shards", 1.0);
-  });
-  local_metrics_.add_source("mem", [](obs::MetricSink& sink) {
-    sink.counter("allocs", alloc::allocations());
-    sink.counter("frees", alloc::deallocations());
-    sink.counter("alloc_bytes", alloc::allocated_bytes());
-    sink.gauge("hook_active", alloc::hook_active() ? 1.0 : 0.0);
-    sink.gauge("arena_buffers",
-               static_cast<double>(ScratchArena::local().size()));
-  });
-  local_metrics_.add_source("trace", [this](obs::MetricSink& sink) {
-    std::uint64_t recorded = 0, ring_dropped = 0;
-    {
-      std::lock_guard<std::mutex> lock(trace_mutex_);
-      recorded = collected_trace_.size();
-    }
-    for (const auto& ring : trace_rings_) {
-      recorded += ring->size();
-      ring_dropped += ring->dropped();
-    }
-    sink.counter("events", recorded);
-    sink.counter("dropped", ring_dropped);
-    sink.gauge("enabled", tracing_.load(std::memory_order_acquire) ? 1.0 : 0.0);
-  });
+  register_core_metrics(local_metrics_);
 
   // The Machine-level registry carries one source: the cross-process
   // aggregator. It snapshots this process's local registry and, in the
@@ -219,13 +160,10 @@ ProcessMachine::ProcessMachine(net::Topology topo,
     if (role_ == Role::kParent && forked_) {
       for (Pe pe = 1; pe < num_pes(); ++pe) {
         const auto i = static_cast<std::size_t>(pe);
-        if (!dead_[i].load(std::memory_order_acquire)) {
-          auto reply = request(pe, kCtlMetrics, Bytes{});
-          if (reply) {
-            std::map<std::string, obs::MetricValue> remote;
-            unpack_object(*reply, remote);
-            cached_metrics_[i] = std::move(remote);
-          }
+        if (auto reply = request(pe, kCtlMetrics, Bytes{})) {
+          std::map<std::string, obs::MetricValue> remote;
+          unpack_object(*reply, remote);
+          cached_metrics_[i] = std::move(remote);
         }
         for (const auto& [name, value] : cached_metrics_[i]) {
           auto it = merged.find(name);
@@ -253,77 +191,19 @@ ProcessMachine::~ProcessMachine() {
 
 // -- pre-fork configuration --------------------------------------------------
 
-net::DelayDevice* ProcessMachine::add_delay_device(sim::TimeNs one_way) {
+net::Chain& ProcessMachine::device_chain() {
   MDO_CHECK_MSG(!forked_,
                 "devices must be installed before the first run() forks");
-  return chain_.add(std::make_unique<net::DelayDevice>(&topo_, one_way));
+  return chain_;
 }
 
-const net::ReliabilityStack& ProcessMachine::add_reliability_stack(
-    const net::ReliableConfig& reliable, const net::FaultConfig& faults,
-    sim::TimeNs cross_cluster_one_way, const net::HeartbeatConfig& heartbeat,
-    const net::CoalesceConfig& coalesce,
-    const net::CompressionConfig& compression,
-    const net::StripingConfig& striping) {
-  MDO_CHECK_MSG(!forked_,
-                "the reliability stack must be installed before the fork");
-  MDO_CHECK_MSG(!rel_stack_.installed(), "reliability stack already installed");
-  rel_stack_ = net::install_reliability_stack(
-      chain_, &topo_, reliable, faults, cross_cluster_one_way, heartbeat,
-      coalesce, compression, striping);
-  net::register_metrics(local_metrics_, rel_stack_);
-  if (rel_stack_.reliable != nullptr) {
-    // Installed pre-fork and inherited: each process's own reliable
-    // device drives its own congested_ flags and drains its own park
-    // queue through its own fabric.
-    rel_stack_.reliable->set_on_congestion_change(
-        [this](net::NodeId peer, bool congested) {
-          congested_[static_cast<std::size_t>(peer)].store(congested);
-          if (!congested && fabric_ != nullptr) {
-            fabric_->host_schedule(
-                0, [this, peer] { flush_parked(static_cast<Pe>(peer)); });
-          }
-        });
-  }
-  return rel_stack_;
-}
-
-net::AdaptiveController* ProcessMachine::add_adaptive_controller(
-    const net::AdaptiveConfig& config) {
-  MDO_CHECK_MSG(!forked_,
-                "the adaptive controller must be installed before the fork");
-  MDO_CHECK_MSG(rel_stack_.installed(),
-                "adaptive controller needs a reliability stack (RTT source)");
-  MDO_CHECK_MSG(adaptive_ == nullptr, "adaptive controller already installed");
-  adaptive_ = chain_.add(std::make_unique<net::AdaptiveController>(&topo_, config));
-  // attach() needs the fabric, which exists per process only after the
-  // fork; setup_process() attaches each process's inherited controller.
-  net::register_metrics(local_metrics_, *adaptive_);
-  return adaptive_;
-}
-
-net::CoalesceDevice* ProcessMachine::add_coalesce_device(
-    const net::CoalesceConfig& config) {
-  MDO_CHECK_MSG(!forked_,
-                "the coalescing device must be installed before the fork");
-  MDO_CHECK_MSG(coalesce_ == nullptr && rel_stack_.coalesce == nullptr,
-                "coalescing device already installed");
-  coalesce_ = chain_.add(std::make_unique<net::CoalesceDevice>(&topo_, config));
-  net::register_metrics(local_metrics_, *coalesce_);
-  return coalesce_;
-}
-
-void ProcessMachine::schedule_at(sim::TimeNs dt, std::function<void()> fn) {
+void ProcessMachine::call_after(sim::TimeNs dt, std::function<void()> fn) {
   if (!forked_) {
     // Staged and replayed into *every* process at the fork.
     staging_.host_schedule(dt, std::move(fn));
     return;
   }
   fabric_->host_schedule(dt, std::move(fn));
-}
-
-net::SocketFabric::SocketStats ProcessMachine::socket_stats() const {
-  return fabric_ ? fabric_->socket_stats() : net::SocketFabric::SocketStats{};
 }
 
 // -- fork & per-process bring-up --------------------------------------------
@@ -426,10 +306,8 @@ void ProcessMachine::setup_process(std::vector<int> peer_fds) {
   fabric_ = std::make_unique<net::SocketFabric>(
       &topo_, &model_, std::move(chain_), static_cast<net::NodeId>(self_pe_),
       std::move(peer_fds), epoch_);
-  fabric_->set_node_up_probe([this](net::NodeId node) {
-    return !dead_[static_cast<std::size_t>(node)].load(
-        std::memory_order_acquire);
-  });
+  fabric_->set_node_up_probe(
+      [this](net::NodeId node) { return pe_alive(static_cast<Pe>(node)); });
   fabric_->set_delivery_handler(
       static_cast<net::NodeId>(self_pe_), [this](net::Packet&& packet) {
         // packet.src is the transmitting *process* — the quiescence
@@ -441,7 +319,7 @@ void ProcessMachine::setup_process(std::vector<int> peer_fds) {
         ScratchArena::local().give(std::move(packet.payload));
         enqueue(from, std::move(env));
       });
-  if (adaptive_ != nullptr) adaptive_->attach(rel_stack_, *fabric_);
+  if (adaptive() != nullptr) adaptive()->attach(reliability(), *fabric_);
   net::register_fabric_metrics(local_metrics_, *fabric_);
   local_metrics_.add_source("fabric.socket", [this](obs::MetricSink& sink) {
     const auto s = fabric_->socket_stats();
@@ -453,8 +331,10 @@ void ProcessMachine::setup_process(std::vector<int> peer_fds) {
   });
   if (role_ == Role::kChild) {
     // The parent routes the buffered setup sends for the whole mesh;
-    // the inherited copies must not be double-delivered.
+    // the inherited copies must not be double-delivered, nor the parent's
+    // count of them double-counted.
     setup_queue_.clear();
+    stats_ = PeStats{};
     control_thread_ = std::thread([this] { control_loop(child_ctl_fd_); });
   }
   // Replay timers staged before the fork (detector watch, adaptive
@@ -479,12 +359,6 @@ void ProcessMachine::setup_process(std::vector<int> peer_fds) {
 }
 
 // -- mailbox & routing -------------------------------------------------------
-
-sim::TimeNs ProcessMachine::now() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
 
 void ProcessMachine::send(Envelope&& env) {
   MDO_CHECK(env.dst_pe >= 0 && env.dst_pe < num_pes());
@@ -529,8 +403,8 @@ void ProcessMachine::dispatch(Envelope&& env) {
     enqueue(self_pe_, std::move(env));
     return;
   }
-  if (congested_[static_cast<std::size_t>(dst)].load()) {
-    park(std::move(env));
+  if (parking_.congested(dst)) {
+    parking_.park(std::move(env));
     return;
   }
   net::Packet packet;
@@ -591,106 +465,40 @@ void ProcessMachine::unpack_frame(std::span<const std::byte> data,
   MDO_CHECK_MSG(p.bytes_remaining() == 0, "trailing bytes after frame unpack");
 }
 
-void ProcessMachine::park(Envelope&& env) {
-  const Pe dst = env.dst_pe;
-  bool shed = false;
-  {
-    std::lock_guard<std::mutex> lock(park_mutex_);
-    auto& q = parked_[dst];
-    q.push_back(std::move(env));
-    ++stall_parked_;
-    if (q.size() > park_limit_) {
-      // Shed the least-urgent parked envelope (largest priority value;
-      // latest arrival on ties, so older equally-urgent work survives).
-      auto victim = q.begin();
-      for (auto it = q.begin(); it != q.end(); ++it) {
-        if (it->priority >= victim->priority) victim = it;
-      }
-      q.erase(victim);
-      ++stall_shed_;
-      shed = true;
-    }
-  }
-  if (shed) {
-    // Already counted toward dst at route(); balance like a squash.
-    undeliv_to_[static_cast<std::size_t>(dst)].fetch_add(
-        1, std::memory_order_acq_rel);
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.msgs_dropped;
-  }
-  // Re-check after publishing: the clearing thread stores
-  // congested=false before scheduling its drain, so a clear flag here
-  // means the drain either saw our envelope or already ran.
-  if (!congested_[static_cast<std::size_t>(dst)].load()) flush_parked(dst);
-}
-
-void ProcessMachine::flush_parked(Pe dst) {
-  std::vector<Envelope> held;
-  {
-    std::lock_guard<std::mutex> lock(park_mutex_);
-    auto it = parked_.find(dst);
-    if (it == parked_.end()) return;
-    held = std::move(it->second);
-    parked_.erase(it);
-    stall_resumed_ += held.size();
-  }
-  std::stable_sort(held.begin(), held.end(),
-                   [](const Envelope& a, const Envelope& b) {
-                     return a.priority < b.priority;
-                   });
-  for (auto& env : held) dispatch(std::move(env));
-}
-
 void ProcessMachine::enqueue(Pe from, Envelope&& env) {
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_.push(QueueItem{env.priority, next_seq_++, from, std::move(env)});
+    queue_.push(env.priority, Delivery{from, std::move(env)});
   }
   handoffs_.fetch_add(1, std::memory_order_relaxed);
   queue_cv_.notify_one();
 }
 
+bool ProcessMachine::queue_empty() const {
+  std::lock_guard<std::mutex> lock(queue_mutex_);
+  return queue_.empty();
+}
+
 bool ProcessMachine::execute_one() {
-  QueueItem item{0, 0, kInvalidPe, Envelope{}};
+  Delivery item{kInvalidPe, Envelope{}};
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (queue_.empty()) return false;
-    item = std::move(const_cast<QueueItem&>(queue_.top()));
-    queue_.pop();
+    item = queue_.pop();
   }
   handoff_pops_.fetch_add(1, std::memory_order_relaxed);
-  const Pe msg_src = item.env.src_pe;
-  const EntryId entry = item.env.entry;
-  const MsgKind kind = item.env.kind;
-  const auto t0 = std::chrono::steady_clock::now();
-  const sim::TimeNs charged = rt_->deliver(std::move(item.env));
-  if (options_.emulate_charge && charged > 0) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(charged));
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  if (tracing_.load(std::memory_order_acquire) && !trace_rings_.empty()) {
-    const auto since = [this](std::chrono::steady_clock::time_point t) {
-      return std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
-          .count();
-    };
-    trace_rings_[static_cast<std::size_t>(self_pe_)]->push(
-        TraceEvent{self_pe_, since(t0), since(t1), msg_src, entry, kind});
-  }
-  bool idle_now = false;
+  const sim::TimeNs busy =
+      execute_entry(*rt_, std::move(item.env), self_pe_,
+                    options_.emulate_charge, trace_, epoch_);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.busy_ns +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
+    stats_.busy_ns += busy;
     ++stats_.msgs_executed;
-  }
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    idle_now = queue_.empty();
   }
   // Outside the queue lock: the idle hook reaches into the fabric
   // (coalesce flush), whose lock is taken while delivering into the
   // mailbox.
-  if (idle_now && on_pe_idle_) on_pe_idle_(self_pe_);
+  if (on_pe_idle_ && queue_empty()) on_pe_idle_(self_pe_);
   // Accounted last: the wave must stay unbalanced until the handler and
   // everything it sent are fully recorded.
   MDO_CHECK(item.from >= 0 && item.from < num_pes());
@@ -729,25 +537,19 @@ void ProcessMachine::handle_control(std::uint32_t op, Bytes&& payload, int fd) {
     case kCtlMetrics:
       reply = pack_object(local_metrics_.snapshot().values);
       break;
-    case kCtlTrace: {
-      std::vector<TraceEvent> events;
-      if (!trace_rings_.empty()) {
-        events = trace_rings_[static_cast<std::size_t>(self_pe_)]->drain();
-      }
-      reply = pack_object(events);
+    case kCtlTrace:
+      reply = pack_object(trace_.drain(static_cast<std::size_t>(self_pe_)));
       break;
-    }
     case kCtlWatch: {
       std::int64_t horizon = 0;
       {
         Pup p = Pup::unpacker(payload);
         p | horizon;
       }
-      if (rel_stack_.heartbeat != nullptr) {
+      if (net::HeartbeatDevice* hb = reliability().heartbeat) {
         // Hop onto the network thread so the arming serializes with all
         // other device work under the fabric lock.
-        fabric_->host_schedule(
-            0, [this, horizon] { rel_stack_.heartbeat->watch(horizon); });
+        fabric_->host_schedule(0, [hb, horizon] { hb->watch(horizon); });
       }
       break;
     }
@@ -800,7 +602,7 @@ void ProcessMachine::handle_control(std::uint32_t op, Bytes&& payload, int fd) {
       dead_[static_cast<std::size_t>(pe)].store(true,
                                                 std::memory_order_release);
       // Anything parked toward the dead peer resolves to a squash now.
-      flush_parked(static_cast<Pe>(pe));
+      parking_.flush(static_cast<Pe>(pe));
       break;
     }
     case kCtlExit:
@@ -830,15 +632,11 @@ ProcessMachine::CtlStatus ProcessMachine::local_status() {
   s.fstats = fabric_ ? fabric_->stats() : net::Fabric::Stats{};
   s.reg_count = Registry::instance().size();
   s.reg_hash = Registry::instance().fingerprint(s.reg_count);
-  bool queue_empty = false;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_empty = queue_.empty();
-  }
+  const bool drained = queue_empty();
   if (role_ == Role::kChild) {
-    s.idle = (idle_.load(std::memory_order_acquire) && queue_empty) ? 1 : 0;
+    s.idle = (idle_.load(std::memory_order_acquire) && drained) ? 1 : 0;
   } else {
-    s.idle = queue_empty ? 1 : 0;
+    s.idle = drained ? 1 : 0;
   }
   return s;
 }
@@ -866,12 +664,7 @@ std::optional<Bytes> ProcessMachine::request(Pe child, std::uint32_t op,
 }
 
 void ProcessMachine::broadcast(std::uint32_t op, const Bytes& payload) {
-  for (Pe pe = 1; pe < num_pes(); ++pe) {
-    if (dead_[static_cast<std::size_t>(pe)].load(std::memory_order_acquire)) {
-      continue;
-    }
-    request(pe, op, payload);
-  }
+  for (Pe pe = 1; pe < num_pes(); ++pe) request(pe, op, payload);
 }
 
 void ProcessMachine::check_fingerprint(Pe child, std::uint64_t count,
@@ -890,12 +683,16 @@ void ProcessMachine::check_fingerprint(Pe child, std::uint64_t count,
 
 void ProcessMachine::handle_child_death(Pe pe) {
   const auto i = static_cast<std::size_t>(pe);
-  if (dead_[i].exchange(true, std::memory_order_acq_rel)) return;
+  if (!dead_[i].exchange(true, std::memory_order_acq_rel)) bury(pe);
+}
+
+void ProcessMachine::bury(Pe pe) {
+  const auto i = static_cast<std::size_t>(pe);
   if (pids_[i] > 0) {
     ::waitpid(pids_[i], nullptr, 0);
     pids_[i] = -1;
   }
-  flush_parked(pe);
+  parking_.flush(pe);
   Bytes payload;
   {
     Pup p = Pup::packer(payload);
@@ -903,6 +700,13 @@ void ProcessMachine::handle_child_death(Pe pe) {
     p | dead_pe;
   }
   broadcast(kCtlPeDead, payload);
+}
+
+bool ProcessMachine::refresh_status(Pe pe) {
+  auto reply = request(pe, kCtlStatus, Bytes{});
+  if (!reply) return false;
+  unpack_object(*reply, cached_status_[static_cast<std::size_t>(pe)]);
+  return true;
 }
 
 void ProcessMachine::reap_children() {
@@ -925,29 +729,21 @@ bool ProcessMachine::collect_wave(std::vector<std::uint64_t>& wave) {
   cached_status_[0] = local_status();
   bool settled = cached_status_[0].idle != 0;
   for (Pe pe = 1; pe < n; ++pe) {
-    const auto i = static_cast<std::size_t>(pe);
-    if (dead_[i].load(std::memory_order_acquire)) continue;
-    auto reply = request(pe, kCtlStatus, Bytes{});
-    if (!reply) {
+    if (!pe_alive(pe)) continue;
+    if (!refresh_status(pe)) {
       settled = false;  // died mid-wave; the next wave sees it dead
       continue;
     }
-    CtlStatus s;
-    unpack_object(*reply, s);
+    const CtlStatus& s = cached_status_[static_cast<std::size_t>(pe)];
     check_fingerprint(pe, s.reg_count, s.reg_hash);
     if (s.idle == 0) settled = false;
-    cached_status_[i] = std::move(s);
   }
   // Balance over alive pairs: everything i sent toward j was either
   // executed by j or provably squashed by i.
   for (int i = 0; i < n && settled; ++i) {
-    if (dead_[static_cast<std::size_t>(i)].load(std::memory_order_acquire)) {
-      continue;
-    }
+    if (!pe_alive(i)) continue;
     for (int j = 0; j < n; ++j) {
-      if (dead_[static_cast<std::size_t>(j)].load(std::memory_order_acquire)) {
-        continue;
-      }
+      if (!pe_alive(j)) continue;
       const auto& ri = cached_status_[static_cast<std::size_t>(i)];
       const auto& rj = cached_status_[static_cast<std::size_t>(j)];
       const auto sj = static_cast<std::size_t>(j);
@@ -983,14 +779,9 @@ void ProcessMachine::run() {
     }
     reap_children();
     const bool settled = collect_wave(wave);
-    bool queue_empty = false;
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      queue_empty = queue_.empty();
-    }
     // Two consecutive identical settled waves over monotone counters
     // mean nothing happened between them: genuinely quiescent.
-    if (settled && queue_empty && have_prev && wave == prev_wave) {
+    if (settled && queue_empty() && have_prev && wave == prev_wave) {
       // run() returning is the contract's quiescent point: host code is
       // about to read its local replicas (gather_mesh, reduction state,
       // checkpoint cuts), so pull the owners' element states home. The
@@ -1048,35 +839,16 @@ void ProcessMachine::stop() {
 void ProcessMachine::kill_pe(Pe pe) {
   MDO_CHECK_MSG(role_ == Role::kParent,
                 "kill_pe is driven from the host process");
-  MDO_CHECK_MSG(pe > 0, "PE 0 hosts the mainchare and cannot be killed");
-  MDO_CHECK(pe < num_pes());
   MDO_CHECK_MSG(forked_, "kill_pe needs a live mesh (first run() forks it)");
   // Taking the control lock first means we never yank a socket out from
   // under an in-flight request.
   std::lock_guard<std::recursive_mutex> lock(ctl_mutex_);
+  if (!mark_killed(pe)) return;
   const auto i = static_cast<std::size_t>(pe);
-  if (dead_[i].exchange(true, std::memory_order_acq_rel)) return;
-  kills_.fetch_add(1, std::memory_order_acq_rel);
-  if (pids_[i] > 0) {
-    ::kill(pids_[i], SIGKILL);
-    ::waitpid(pids_[i], nullptr, 0);
-    pids_[i] = -1;
-  }
-  flush_parked(pe);
-  // Broadcast the death for routing (peers squash sends immediately);
+  if (pids_[i] > 0) ::kill(pids_[i], SIGKILL);
+  // The death is broadcast for routing (peers squash sends immediately);
   // the FT stack learns of it organically, via heartbeat silence.
-  Bytes payload;
-  {
-    Pup p = Pup::packer(payload);
-    std::int32_t dead_pe = pe;
-    p | dead_pe;
-  }
-  broadcast(kCtlPeDead, payload);
-}
-
-bool ProcessMachine::pe_alive(Pe pe) const {
-  MDO_CHECK(pe >= 0 && pe < num_pes());
-  return !dead_[static_cast<std::size_t>(pe)].load(std::memory_order_acquire);
+  bury(pe);
 }
 
 // -- stats, tracing, metrics -------------------------------------------------
@@ -1089,35 +861,38 @@ PeStats ProcessMachine::pe_stats(Pe pe) const {
   }
   MDO_CHECK_MSG(role_ == Role::kParent, "remote pe_stats are host-side only");
   if (!forked_) return {};
-  auto* self = const_cast<ProcessMachine*>(this);
-  const auto i = static_cast<std::size_t>(pe);
-  if (!dead_[i].load(std::memory_order_acquire)) {
-    auto reply = self->request(pe, kCtlStatus, Bytes{});
-    if (reply) {
-      CtlStatus s;
-      unpack_object(*reply, s);
-      self->cached_status_[i] = std::move(s);
-    }
+  const_cast<ProcessMachine*>(this)->refresh_status(pe);
+  return cached_status_[static_cast<std::size_t>(pe)].stats;
+}
+
+Machine::SchedulerSample ProcessMachine::scheduler_sample() const {
+  SchedulerSample s;
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    s.pes = stats_;
   }
-  return cached_status_[i].stats;
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    s.queue_depth = queue_.size();
+  }
+  // Each process is one scheduler shard by construction (shards sum to
+  // the mesh size in the aggregated parent snapshot); a "handoff" is an
+  // envelope landing on this process's queue, a "batch" one dequeue, and
+  // there is no bounded-ring fallback path.
+  s.handoffs = handoffs_.load(std::memory_order_relaxed);
+  s.handoff_batches = handoff_pops_.load(std::memory_order_relaxed);
+  s.shards = 1;
+  s.trace = trace_.stats();
+  return s;
 }
 
 net::Fabric::Stats ProcessMachine::fabric_stats() const {
   if (!fabric_) return {};
   net::Fabric::Stats total = fabric_->stats();
   if (role_ != Role::kParent || !forked_) return total;
-  auto* self = const_cast<ProcessMachine*>(this);
   for (Pe pe = 1; pe < num_pes(); ++pe) {
-    const auto i = static_cast<std::size_t>(pe);
-    if (!dead_[i].load(std::memory_order_acquire)) {
-      auto reply = self->request(pe, kCtlStatus, Bytes{});
-      if (reply) {
-        CtlStatus s;
-        unpack_object(*reply, s);
-        self->cached_status_[i] = std::move(s);
-      }
-    }
-    const auto& f = cached_status_[i].fstats;
+    const_cast<ProcessMachine*>(this)->refresh_status(pe);
+    const auto& f = cached_status_[static_cast<std::size_t>(pe)].fstats;
     total.packets_sent += f.packets_sent;
     total.bytes_sent += f.bytes_sent;
     total.packets_delivered += f.packets_delivered;
@@ -1131,64 +906,30 @@ net::Fabric::Stats ProcessMachine::fabric_stats() const {
   return total;
 }
 
-void ProcessMachine::set_tracing(bool on) {
-  if (on && trace_rings_.empty()) {
-    MDO_CHECK_MSG(!forked_,
-                  "enable tracing before the first run() forks the mesh");
-    constexpr std::size_t kRingCapacity = 1u << 15;
-    const auto n = static_cast<std::size_t>(num_pes());
-    trace_rings_.reserve(n + 1);
-    for (std::size_t i = 0; i < n + 1; ++i) {
-      trace_rings_.push_back(
-          std::make_unique<obs::SpscRing<TraceEvent>>(kRingCapacity));
-    }
-  }
-  tracing_.store(on, std::memory_order_release);
-}
-
 std::vector<TraceEvent> ProcessMachine::trace() const {
-  auto* self = const_cast<ProcessMachine*>(this);
-  std::lock_guard<std::mutex> lock(trace_mutex_);
-  for (const auto& ring : trace_rings_) {
-    for (auto& ev : ring->drain()) collected_trace_.push_back(ev);
-  }
+  std::vector<TraceEvent> remote;
   if (role_ == Role::kParent && forked_) {
     // Events recorded by a killed child after our last drain die with
     // it — real crash semantics.
+    auto* self = const_cast<ProcessMachine*>(this);
     for (Pe pe = 1; pe < num_pes(); ++pe) {
-      if (dead_[static_cast<std::size_t>(pe)].load(std::memory_order_acquire)) {
-        continue;
-      }
       auto reply = self->request(pe, kCtlTrace, Bytes{});
       if (!reply) continue;
       std::vector<TraceEvent> events;
       unpack_object(*reply, events);
-      collected_trace_.insert(collected_trace_.end(), events.begin(),
-                              events.end());
+      remote.insert(remote.end(), events.begin(), events.end());
     }
   }
-  std::vector<TraceEvent> out = collected_trace_;
-  std::sort(out.begin(), out.end(), [](const TraceEvent& a,
-                                       const TraceEvent& b) {
-    if (a.begin != b.begin) return a.begin < b.begin;
-    return a.pe < b.pe;
-  });
-  return out;
+  return trace_.collect(std::move(remote));
 }
 
 void ProcessMachine::trace_phase(std::int32_t phase) {
-  if (!tracing_.load(std::memory_order_acquire) || trace_rings_.empty()) {
-    return;
-  }
   // The parent's main thread owns the extra host ring; each child's main
   // thread owns its PE ring — one producer per ring either way.
   const std::size_t ring = role_ == Role::kChild
                                ? static_cast<std::size_t>(self_pe_)
                                : static_cast<std::size_t>(num_pes());
-  const sim::TimeNs t = now();
-  trace_rings_[ring]->push(TraceEvent{self_pe_, t, t, self_pe_,
-                                      static_cast<EntryId>(phase),
-                                      MsgKind::kPhaseMarker});
+  trace_.record(ring, phase_marker(self_pe_, now(), phase));
 }
 
 // -- multi-process coordination hooks ---------------------------------------
@@ -1196,9 +937,6 @@ void ProcessMachine::trace_phase(std::int32_t phase) {
 void ProcessMachine::sync_remote_elements() {
   if (role_ != Role::kParent || !forked_) return;
   for (Pe pe = 1; pe < num_pes(); ++pe) {
-    if (dead_[static_cast<std::size_t>(pe)].load(std::memory_order_acquire)) {
-      continue;
-    }
     auto reply = request(pe, kCtlPack, Bytes{});
     if (!reply) continue;
     std::vector<CtlBlob> blobs;

@@ -1,6 +1,6 @@
 #include "core/sim_machine.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "core/runtime.hpp"
 #include "net/metrics.hpp"
@@ -10,123 +10,42 @@ namespace mdo::core {
 
 SimMachine::SimMachine(net::Topology topo, net::GridLatencyModel::Config link,
                        Overheads overheads)
-    : topo_(std::move(topo)),
+    : Machine(std::move(topo)),
       overheads_(overheads),
       model_(&topo_, link),
       pes_(topo_.num_nodes()) {
   fabric_ = std::make_unique<net::SimFabric>(&engine_, &topo_, &model_,
                                              net::Chain{});
-  fabric_->set_node_up_probe([this](net::NodeId node) {
-    return !pes_[static_cast<std::size_t>(node)].dead;
-  });
+  fabric_->set_node_up_probe(
+      [this](net::NodeId node) { return pe_alive(static_cast<Pe>(node)); });
   for (std::size_t node = 0; node < topo_.num_nodes(); ++node) {
     fabric_->set_delivery_handler(
         static_cast<net::NodeId>(node), [this, node](net::Packet&& packet) {
-          Envelope env;
-          unpack_object(packet.payload, env);
-          // The packet's storage came from the scratch arena (dispatch
-          // packs into a pooled buffer); return it so the cycle stays
-          // allocation-free in steady state.
-          ScratchArena::local().give(std::move(packet.payload));
-          enqueue(static_cast<Pe>(node), std::move(env));
+          enqueue(static_cast<Pe>(node), unpack_delivery(packet));
         });
   }
+  parking_.set_resend([this](Envelope&& env) { dispatch(std::move(env)); });
   net::register_fabric_metrics(metrics_, *fabric_);
-  metrics_.add_source("rt.sched", [this](obs::MetricSink& sink) {
-    std::uint64_t executed = 0, sent = 0, dropped = 0, queued = 0;
-    sim::TimeNs busy = 0;
-    for (const auto& pe : pes_) {
-      executed += pe.stats.msgs_executed;
-      sent += pe.stats.msgs_sent;
-      dropped += pe.stats.msgs_dropped;
-      busy += pe.stats.busy_ns;
-      queued += pe.queue.size();
-    }
-    sink.counter("msgs_executed", executed);
-    sink.counter("msgs_sent", sent);
-    sink.counter("msgs_dropped", dropped);
-    sink.counter("busy_ns", static_cast<std::uint64_t>(busy));
-    sink.counter("pes_killed", kills_);
-    sink.counter("stall_parked", stall_parked_);
-    sink.counter("stall_resumed", stall_resumed_);
-    sink.counter("stall_shed", stall_shed_);
-    sink.gauge("queue_depth", static_cast<double>(queued));
-    sink.gauge("parked_depth", static_cast<double>(parked_envelopes()));
-  });
-  metrics_.add_source("rt.sched.shard", [this](obs::MetricSink& sink) {
-    // Same schema as the thread backend: here a "handoff" is an envelope
-    // landing on a PE queue and a "batch" is one coalesced wake event
-    // (the DES analogue of a batched inbox pop). No bounded ring, so
-    // there is no fallback path.
-    sink.counter("handoffs", handoffs_);
-    sink.counter("handoff_batches", wake_batches_);
-    sink.counter("handoff_fallbacks", 0);
-    sink.gauge("shards", static_cast<double>(pes_.size()));
-  });
-  metrics_.add_source("mem", [](obs::MetricSink& sink) {
-    sink.counter("allocs", alloc::allocations());
-    sink.counter("frees", alloc::deallocations());
-    sink.counter("alloc_bytes", alloc::allocated_bytes());
-    sink.gauge("hook_active", alloc::hook_active() ? 1.0 : 0.0);
-    sink.gauge("arena_buffers",
-               static_cast<double>(ScratchArena::local().size()));
-  });
-  metrics_.add_source("trace", [this](obs::MetricSink& sink) {
-    sink.counter("events", trace_.size());
-    sink.counter("dropped", 0);  // vector recorder never drops
-    sink.gauge("enabled", tracing_ ? 1.0 : 0.0);
-  });
+  register_core_metrics(metrics_);
 }
 
-net::DelayDevice* SimMachine::add_delay_device(sim::TimeNs one_way) {
-  return fabric_->chain().add(
-      std::make_unique<net::DelayDevice>(&topo_, one_way));
-}
-
-const net::ReliabilityStack& SimMachine::add_reliability_stack(
-    const net::ReliableConfig& reliable, const net::FaultConfig& faults,
-    sim::TimeNs cross_cluster_one_way, const net::HeartbeatConfig& heartbeat,
-    const net::CoalesceConfig& coalesce,
-    const net::CompressionConfig& compression,
-    const net::StripingConfig& striping) {
-  MDO_CHECK_MSG(!rel_stack_.installed(),
-                "reliability stack already installed");
-  rel_stack_ = net::install_reliability_stack(
-      fabric_->chain(), &topo_, reliable, faults, cross_cluster_one_way,
-      heartbeat, coalesce, compression, striping);
-  net::register_metrics(metrics_, rel_stack_);
-  // Quarantine backpressure: when a suspect peer's buffer clears (heal
-  // or abandonment), re-dispatch its parked envelopes from a fresh
-  // engine event — the clear fires from inside a heartbeat transition.
-  rel_stack_.reliable->set_on_congestion_change(
-      [this](net::NodeId peer, bool congested) {
-        if (congested) return;
-        engine_.schedule_after(
-            0, [this, peer] { flush_parked(static_cast<Pe>(peer)); });
-      });
-  return rel_stack_;
-}
-
-net::AdaptiveController* SimMachine::add_adaptive_controller(
-    const net::AdaptiveConfig& config) {
-  MDO_CHECK_MSG(rel_stack_.installed(),
-                "adaptive controller needs a reliability stack (RTT source)");
-  MDO_CHECK_MSG(adaptive_ == nullptr, "adaptive controller already installed");
-  adaptive_ = fabric_->chain().add(
-      std::make_unique<net::AdaptiveController>(&topo_, config));
-  adaptive_->attach(rel_stack_, *fabric_);
-  net::register_metrics(metrics_, *adaptive_);
-  return adaptive_;
-}
-
-net::CoalesceDevice* SimMachine::add_coalesce_device(
-    const net::CoalesceConfig& config) {
-  MDO_CHECK_MSG(coalesce_ == nullptr && rel_stack_.coalesce == nullptr,
-                "coalescing device already installed");
-  coalesce_ = fabric_->chain().add(
-      std::make_unique<net::CoalesceDevice>(&topo_, config));
-  net::register_metrics(metrics_, *coalesce_);
-  return coalesce_;
+Machine::SchedulerSample SimMachine::scheduler_sample() const {
+  SchedulerSample s;
+  for (const auto& pe : pes_) {
+    s.pes.msgs_executed += pe.stats.msgs_executed;
+    s.pes.msgs_sent += pe.stats.msgs_sent;
+    s.pes.msgs_dropped += pe.stats.msgs_dropped;
+    s.pes.busy_ns += pe.stats.busy_ns;
+    s.queue_depth += pe.queue.size();
+  }
+  // Here a "handoff" is an envelope landing on a PE queue and a "batch"
+  // one coalesced wake event (the DES analogue of a batched inbox pop).
+  // No bounded ring, so there is no fallback path.
+  s.handoffs = handoffs_;
+  s.handoff_batches = wake_batches_;
+  s.shards = pes_.size();
+  s.trace = {trace_.size(), 0, tracing_};  // the vector never drops
+  return s;
 }
 
 void SimMachine::kill_pe(Pe pe, sim::TimeNs at) {
@@ -137,17 +56,12 @@ void SimMachine::kill_pe(Pe pe, sim::TimeNs at) {
 }
 
 void SimMachine::do_kill(Pe pe) {
+  if (!mark_killed(pe)) return;
   PeState& state = pes_[static_cast<std::size_t>(pe)];
-  if (state.dead) return;
-  state.dead = true;
-  ++kills_;
   // Everything queued at the PE dies with it. A message being executed
   // right now finishes its busy period, but finish_execution discards
   // the outbox of a dead PE, so nothing it produced escapes.
-  while (!state.queue.empty()) {
-    state.queue.pop();
-    ++state.stats.msgs_dropped;
-  }
+  state.stats.msgs_dropped += state.queue.clear();
 }
 
 void SimMachine::send(Envelope&& env) {
@@ -170,10 +84,8 @@ sim::TimeNs SimMachine::dispatch(Envelope&& env) {
     enqueue(env.dst_pe, std::move(env));
     return 0;
   }
-  if (rel_stack_.reliable != nullptr &&
-      rel_stack_.reliable->peer_congested(
-          static_cast<net::NodeId>(env.dst_pe))) {
-    park(std::move(env));
+  if (parking_.congested(env.dst_pe)) {
+    parking_.park(std::move(env));
     return 0;
   }
   net::Packet packet;
@@ -184,50 +96,15 @@ sim::TimeNs SimMachine::dispatch(Envelope&& env) {
   return fabric_->send(std::move(packet));
 }
 
-void SimMachine::park(Envelope&& env) {
-  std::vector<Envelope>& q = parked_[env.dst_pe];
-  q.push_back(std::move(env));
-  ++stall_parked_;
-  if (q.size() > park_limit_) {
-    // Shed the least-urgent parked envelope (largest priority value
-    // loses; among ties the most recent arrival). Charged to the
-    // sender's dropped count so sent == executed + dropped still holds.
-    auto worst = q.begin();
-    for (auto it = q.begin(); it != q.end(); ++it) {
-      if (it->priority >= worst->priority) worst = it;
-    }
-    const Pe src = worst->src_pe >= 0 ? worst->src_pe : 0;
-    ++pes_[static_cast<std::size_t>(src)].stats.msgs_dropped;
-    ++stall_shed_;
-    q.erase(worst);
-  }
-}
-
-void SimMachine::flush_parked(Pe dst) {
-  auto it = parked_.find(dst);
-  if (it == parked_.end()) return;
-  std::vector<Envelope> pending = std::move(it->second);
-  parked_.erase(it);
-  // Most-urgent first; stable so FIFO order survives within a priority.
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const Envelope& a, const Envelope& b) {
-                     return a.priority < b.priority;
-                   });
-  for (Envelope& env : pending) {
-    ++stall_resumed_;
-    dispatch(std::move(env));  // re-parks if congestion re-tripped
-  }
-}
-
 void SimMachine::enqueue(Pe pe, Envelope&& env) {
   PeState& state = pes_[static_cast<std::size_t>(pe)];
-  if (state.dead) {
+  if (!pe_alive(pe)) {
     // Crashed PE: arriving traffic falls on the floor (the sender's
     // reliability layer, if any, will notice the missing acks).
     ++state.stats.msgs_dropped;
     return;
   }
-  state.queue.push(QueueItem{env.priority, next_queue_seq_++, std::move(env)});
+  state.queue.push(env.priority, std::move(env));
   ++handoffs_;
   // Defer the scheduling decision into an engine event so that host-side
   // sends issued before run() do not execute synchronously, and so a
@@ -242,15 +119,14 @@ void SimMachine::enqueue(Pe pe, Envelope&& env) {
     PeState& s = pes_[static_cast<std::size_t>(pe)];
     s.wake_scheduled = false;
     ++wake_batches_;
-    if (!s.busy && !s.dead && !s.queue.empty()) execute_next(pe);
+    if (!s.busy && pe_alive(pe) && !s.queue.empty()) execute_next(pe);
   });
 }
 
 void SimMachine::execute_next(Pe pe) {
   PeState& state = pes_[static_cast<std::size_t>(pe)];
   MDO_CHECK(!state.busy && !state.queue.empty());
-  QueueItem item = std::move(const_cast<QueueItem&>(state.queue.top()));
-  state.queue.pop();
+  Envelope env = state.queue.pop();
   state.busy = true;
 
   const sim::TimeNs t_start = engine_.now();
@@ -259,14 +135,14 @@ void SimMachine::execute_next(Pe pe) {
   exec_pe_ = pe;
   outbox_.clear();
 
-  const Pe msg_src = item.env.src_pe;
-  const EntryId entry = item.env.entry;
-  const MsgKind kind = item.env.kind;
+  const Pe msg_src = env.src_pe;
+  const EntryId entry = env.entry;
+  const MsgKind kind = env.kind;
   // Counted at dequeue so that (sent, executed) totals observed from
   // inside a handler are symmetric — the quiescence detector's waves
   // rely on seeing their own message in both counters.
   ++state.stats.msgs_executed;
-  sim::TimeNs charged = rt_->deliver(std::move(item.env));
+  sim::TimeNs charged = rt_->deliver(std::move(env));
 
   executing_ = false;
   // Park the outbox in the PE's slot (swap keeps both vectors' capacity
@@ -288,7 +164,7 @@ void SimMachine::execute_next(Pe pe) {
 
 void SimMachine::finish_execution(Pe pe) {
   PeState& state = pes_[static_cast<std::size_t>(pe)];
-  if (state.dead) {
+  if (!pe_alive(pe)) {
     // The PE crashed mid-execution: whatever the entry produced never
     // made it onto the wire.
     state.stats.msgs_dropped += state.pending_outbox.size();
@@ -302,31 +178,21 @@ void SimMachine::finish_execution(Pe pe) {
 
   if (overheads_.charge_chain_cpu && chain_cpu > 0) {
     state.stats.busy_ns += chain_cpu;
-    engine_.schedule_after(chain_cpu, [this, pe] {
-      PeState& s = pes_[static_cast<std::size_t>(pe)];
-      s.busy = false;
-      if (!s.dead && !s.queue.empty()) {
-        execute_next(pe);
-      } else if (!s.dead && on_pe_idle_) {
-        on_pe_idle_(pe);
-      }
-    });
+    engine_.schedule_after(chain_cpu, [this, pe] { release(pe); });
     return;
   }
+  release(pe);
+}
+
+void SimMachine::release(Pe pe) {
+  PeState& state = pes_[static_cast<std::size_t>(pe)];
   state.busy = false;
+  if (!pe_alive(pe)) return;
   if (!state.queue.empty()) {
     execute_next(pe);
   } else if (on_pe_idle_) {
     on_pe_idle_(pe);
   }
-}
-
-void SimMachine::trace_phase(std::int32_t phase) {
-  if (!tracing_) return;
-  const sim::TimeNs t = engine_.now();
-  trace_.push_back(TraceEvent{current_pe(), t, t, current_pe(),
-                              static_cast<EntryId>(phase),
-                              MsgKind::kPhaseMarker});
 }
 
 void SimMachine::run() {
@@ -342,12 +208,6 @@ PeStats SimMachine::pe_stats(Pe pe) const {
 void SimMachine::advance_time(sim::TimeNs dt) {
   MDO_CHECK(dt >= 0);
   engine_.run_until(engine_.now() + dt);
-}
-
-std::uint64_t SimMachine::total_executed() const {
-  std::uint64_t total = 0;
-  for (const auto& pe : pes_) total += pe.stats.msgs_executed;
-  return total;
 }
 
 }  // namespace mdo::core

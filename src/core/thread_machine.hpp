@@ -6,22 +6,17 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 #include "core/machine.hpp"
-#include "net/adaptive.hpp"
-#include "net/devices.hpp"
+#include "core/run_queue.hpp"
+#include "core/wall_clock.hpp"
 #include "net/latency_model.hpp"
-#include "net/reliable.hpp"
 #include "net/thread_fabric.hpp"
 #include "obs/mpsc_ring.hpp"
-#include "obs/ring_buffer.hpp"
 
 namespace mdo::core {
 
@@ -36,40 +31,6 @@ class ThreadMachine final : public Machine {
                 MachineOptions options);
   ~ThreadMachine() override;
 
-  /// Install the artificial-latency delay device (call before traffic).
-  net::DelayDevice* add_delay_device(sim::TimeNs cross_cluster_one_way);
-
-  /// Install the reliability stack (optional coalesce + reliable +
-  /// optional heartbeat + checksum + fault devices, plus a delay device
-  /// when cross_cluster_one_way > 0). Call before traffic flows.
-  const net::ReliabilityStack& add_reliability_stack(
-      const net::ReliableConfig& reliable, const net::FaultConfig& faults,
-      sim::TimeNs cross_cluster_one_way = 0,
-      const net::HeartbeatConfig& heartbeat = {},
-      const net::CoalesceConfig& coalesce = {},
-      const net::CompressionConfig& compression = {},
-      const net::StripingConfig& striping = {});
-
-  /// Install a standalone coalescing device (clean-fabric scenarios).
-  /// Call before traffic flows and before add_delay_device.
-  net::CoalesceDevice* add_coalesce_device(const net::CoalesceConfig& config);
-
-  /// Install the adaptive WAN controller over the already-installed
-  /// reliability stack. Its sampling ticker runs on the fabric
-  /// dispatcher thread (which owns the chain mutex), so knob mutations
-  /// are serialized against sends. Arm with adaptive()->start(horizon).
-  /// Call after add_reliability_stack and before traffic flows.
-  net::AdaptiveController* add_adaptive_controller(
-      const net::AdaptiveConfig& config);
-
-  /// The installed adaptive controller (null if none).
-  net::AdaptiveController* adaptive() const override { return adaptive_; }
-
-  /// The coalescing device, standalone or in-stack (null if none).
-  net::CoalesceDevice* coalesce() const override {
-    return coalesce_ != nullptr ? coalesce_ : rel_stack_.coalesce;
-  }
-
   /// Crash-inject: PE `pe` stops scheduling work. Cooperative fail-stop —
   /// a handler already running finishes, but nothing it sends escapes,
   /// its queue is drained (counted in msgs_dropped), and the fabric
@@ -78,69 +39,40 @@ class ThreadMachine final : public Machine {
   /// abandoned retransmission flow would strand quiescence accounting.
   void kill_pe(Pe pe) override;
 
-  /// PEs killed so far (test convenience).
-  std::uint64_t pes_killed() const override {
-    return kills_.load(std::memory_order_acquire);
-  }
-
-  /// The installed reliability stack (devices null if never installed).
-  const net::ReliabilityStack& reliability() const override {
-    return rel_stack_;
-  }
-
   net::ThreadFabric& fabric() { return *fabric_; }
 
   // -- Machine interface --------------------------------------------------
-  void bind(Runtime* runtime) override { rt_ = runtime; }
-  int num_pes() const override { return static_cast<int>(topo_.num_nodes()); }
-  const net::Topology& topology() const override { return topo_; }
   Pe current_pe() const override;
-  sim::TimeNs now() const override;
+  sim::TimeNs now() const override { return wall_since(start_); }
   void send(Envelope&& env) override;
   void run() override;
   void stop() override;
   PeStats pe_stats(Pe pe) const override;
-  bool pe_alive(Pe pe) const override;
-  net::Fabric::Stats fabric_stats() const override { return fabric_->stats(); }
-  /// Call before traffic flows (workers synchronize on the queue mutex).
-  void set_on_pe_idle(std::function<void(Pe)> fn) override {
-    on_pe_idle_ = std::move(fn);
-  }
-  void set_park_limit(std::size_t limit) override {
-    std::lock_guard<std::mutex> lock(park_mutex_);
-    park_limit_ = limit;
-  }
-
-  /// Envelopes currently parked behind quarantine backpressure.
-  std::size_t parked_envelopes() const override {
-    std::lock_guard<std::mutex> lock(park_mutex_);
-    std::size_t total = 0;
-    for (const auto& [dst, q] : parked_) total += q.size();
-    return total;
+  /// Runs on the fabric dispatcher thread, serialized with device work.
+  void call_after(sim::TimeNs dt, std::function<void()> fn) override {
+    fabric_->host_schedule(dt, std::move(fn));
   }
 
   /// Entry-interval tracing into lock-free per-PE ring buffers: each
   /// worker thread is the sole producer of its own ring, so recording
   /// never takes a lock on the delivery path. Call before traffic flows.
   /// When a ring fills, events are dropped and counted (trace.dropped).
-  void set_tracing(bool on) override;
+  void set_tracing(bool on) override {
+    trace_.set_enabled(on, workers_.size(), fabric_->stats().packets_sent > 0);
+  }
   /// Drains the rings (chronologically merged by begin time). Complete
   /// only once traffic has quiesced — run() returned or stop() joined.
-  std::vector<TraceEvent> trace() const override;
+  std::vector<TraceEvent> trace() const override { return trace_.collect(); }
   void trace_phase(std::int32_t phase) override;
 
+ protected:
+  SchedulerSample scheduler_sample() const override;
+  net::Chain& device_chain() override { return fabric_->chain(); }
+  const net::Fabric* local_fabric() const override { return fabric_.get(); }
+
  private:
-  struct QueueItem {
-    Priority priority;
-    std::uint64_t seq;
-    Envelope env;
-  };
-  struct Later {
-    bool operator()(const QueueItem& a, const QueueItem& b) const {
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
-    }
-  };
+  using RunItem = RunQueue<Envelope>::Item;
+
   /// Sharded scheduler: each PE owns a lock-free MPSC inbox ring (any
   /// thread pushes, only this PE's worker pops — in batches) feeding a
   /// consumer-private priority run queue. The mutex+cv pair exists only
@@ -150,78 +82,54 @@ class ThreadMachine final : public Machine {
   /// sleeping==false and a consumer that reads ring-empty cannot both
   /// happen (store-buffering litmus) — no wake-up is ever lost.
   struct PeWorker {
-    std::unique_ptr<obs::MpscRing<QueueItem>> inbox;
+    std::unique_ptr<obs::MpscRing<RunItem>> inbox;
     std::mutex mutex;              ///< sleep/wake + overflow only
     std::condition_variable cv;
-    std::vector<QueueItem> overflow;  ///< ring-full fallback (never drops)
+    std::vector<RunItem> overflow;  ///< ring-full fallback (never drops)
     std::atomic<std::size_t> overflow_count{0};
     std::atomic<bool> sleeping{false};
-    std::atomic<bool> dead{false};  ///< fail-stop: set once, never cleared
 
-    // Stats as atomics: producers (drops) and the worker (execution)
-    // update without taking the worker mutex on the hot path.
+    // Stats as atomics: senders, producers (drops) and the worker
+    // (execution) update without taking the worker mutex on the hot path.
+    std::atomic<std::uint64_t> sent{0};
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> dropped{0};
     std::atomic<std::int64_t> busy_ns{0};
     std::atomic<std::size_t> runq_depth{0};  ///< metrics snapshot
 
     // Consumer-private state: only the worker thread touches these.
-    std::priority_queue<QueueItem, std::vector<QueueItem>, Later> runq;
-    std::vector<QueueItem> batch;  ///< pop_batch scratch
+    RunQueue<Envelope> runq;
+    std::vector<RunItem> batch;  ///< pop_batch scratch
     std::thread thread;
   };
 
   void worker_loop(Pe pe);
   /// Move everything from inbox/overflow into the consumer-private runq.
-  /// Returns the number of items transferred. Worker thread only.
-  std::size_t refill_runq(PeWorker& worker);
+  /// Worker thread only.
+  void refill_runq(PeWorker& worker);
   /// Discard the runq of a crashed PE, balancing the pending count.
   void discard_runq(PeWorker& worker);
   void enqueue(Pe pe, Envelope&& env);
+  /// Route one envelope: local enqueue, fabric, or (toward a congested
+  /// peer) the parking lot. Parked envelopes stay in the pending count,
+  /// so quiescence waits for the heal.
   void route(Envelope&& env);
-  /// A message left the pending count without executing (crashed PE).
-  void drop_pending();
-  /// Backpressure: hold an envelope for a congested peer; sheds the
-  /// least-urgent parked one past park_limit_. Parked envelopes stay in
-  /// the pending count, so quiescence waits for the heal.
-  void park(Envelope&& env);
-  void flush_parked(Pe dst);  ///< congestion cleared: re-route by priority
+  /// A message left the pending count: executed, or dropped at a
+  /// crashed PE. The last one out wakes run().
+  void retire_pending();
 
-  net::Topology topo_;
   MachineOptions options_;
   net::GridLatencyModel model_;
   std::unique_ptr<net::ThreadFabric> fabric_;
-  net::ReliabilityStack rel_stack_;
-  net::CoalesceDevice* coalesce_ = nullptr;  ///< standalone install only
-  net::AdaptiveController* adaptive_ = nullptr;
-  std::function<void(Pe)> on_pe_idle_;
-  Runtime* rt_ = nullptr;
 
   std::vector<std::unique_ptr<PeWorker>> workers_;
   std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> kills_{0};
 
-  /// Quarantine backpressure. The per-peer congested flags mirror the
-  /// reliable device's state (updated in its congestion callback) so the
-  /// route() hot path never touches device internals from worker
-  /// threads. Parked envelopes and counters live under park_mutex_.
-  std::vector<std::atomic<bool>> congested_;
-  mutable std::mutex park_mutex_;
-  std::map<Pe, std::vector<Envelope>> parked_;
-  std::size_t park_limit_ = std::numeric_limits<std::size_t>::max();
-  std::uint64_t stall_parked_ = 0;
-  std::uint64_t stall_resumed_ = 0;
-  std::uint64_t stall_shed_ = 0;
-
-  // Tracing. One ring per PE (producer: that PE's worker thread) plus a
-  // final ring for the host thread's phase markers (producer: the main
-  // thread, which never races a worker). trace() drains rings into
-  // collected_trace_ under trace_mutex_.
-  std::atomic<bool> tracing_{false};
-  std::vector<std::unique_ptr<obs::SpscRing<TraceEvent>>> trace_rings_;
-  mutable std::mutex trace_mutex_;
-  mutable std::vector<TraceEvent> collected_trace_;
+  /// One ring per PE (producer: that PE's worker thread) plus a final
+  /// ring for the host thread's phase markers (producer: the main
+  /// thread, which never races a worker).
+  TraceRecorder trace_;
 
   // Quiescence: messages anywhere in the system (queued, in flight, or
   // executing). send() increments; the worker decrements after the
@@ -230,7 +138,7 @@ class ThreadMachine final : public Machine {
   std::mutex done_mutex_;
   std::condition_variable done_cv_;
 
-  std::chrono::steady_clock::time_point start_;
+  WallTime start_;
 };
 
 }  // namespace mdo::core

@@ -98,12 +98,12 @@ core::SimMachine::Overheads overheads() {
   return ov;
 }
 
-/// The artificial delay belongs inside the reliability stack (below the
-/// fault device) when faults are on, so acks and retransmissions pay WAN
-/// latency too; otherwise it is the classic bare delay device. The
-/// worst-link latency is passed as the device default — every populated
-/// pair is then overridden from the link table, so the default only
-/// guarantees the device gets installed when any link is non-zero.
+/// The artificial delay sits at the bottom of the chain (below the fault
+/// device when faults are on, so acks and retransmissions pay WAN
+/// latency too). The worst-link latency is passed as the device default
+/// — every populated pair is then overridden from the link table, so the
+/// default only guarantees the device gets installed when any link is
+/// non-zero.
 sim::TimeNs stack_delay(const Scenario& s) {
   return s.mode == Scenario::Mode::kArtificial ? s.max_one_way() : 0;
 }
@@ -125,137 +125,69 @@ void apply_artificial_links(net::DelayDevice* delay,
   }
 }
 
-/// Wire the machine's scheduler-idle notification to the coalescing
-/// device: a PE that runs out of work flushes its pending bundles
-/// immediately instead of waiting out the backstop timer.
-template <class M>
-void wire_idle_flush(M& machine) {
-  net::CoalesceDevice* coalesce = machine.coalesce();
-  if (coalesce == nullptr) return;
-  machine.set_on_pe_idle([coalesce](core::Pe pe) {
-    coalesce->flush_source(static_cast<net::NodeId>(pe));
-  });
-}
-
-/// Whether the full reliability stack (rather than the bare delay
-/// device) must be installed. Adaptation needs the ack RTT estimator;
-/// compression/striping live inside the stack; force_reliability makes
-/// static baselines wire-comparable with adaptive runs.
+/// Whether the full reliability stack (rather than the stack minus its
+/// reliable part) must be installed. Adaptation needs the ack RTT
+/// estimator; compression/striping live inside the stack;
+/// force_reliability makes static baselines wire-comparable with
+/// adaptive runs.
 bool wants_stack(const Scenario& s) {
   return s.faults.any() || s.heartbeat.enabled || s.adaptive.enabled ||
          s.compression.enabled || s.striping.enabled || s.force_reliability;
 }
 
-/// Realize the scheduled link drifts as delay-device retargets at their
-/// fabric times. `schedule` is engine().schedule_at under SimMachine and
-/// fabric host_schedule (relative to the ~0 start) under ThreadMachine.
-template <class ScheduleFn>
-void schedule_link_drifts(const Scenario& s, net::DelayDevice* delay,
-                          ScheduleFn&& schedule) {
-  if (s.link_drifts.empty()) return;
-  MDO_CHECK_MSG(delay != nullptr,
-                "link drifts need the artificial delay device");
-  for (const Scenario::LinkDrift& d : s.link_drifts) {
-    schedule(d.at, [delay, d] {
-      delay->set_cluster_delay(d.src, d.dst, d.latency);
-    });
-  }
-}
-
-/// Shared chain-building for every backend: reliability stack or bare
-/// delay device, optional standalone coalescing, optional adaptive
-/// controller. All three machine classes expose the identical installer
-/// surface, so one template keeps the backends composition-identical by
-/// construction. Returns the delay device (drift target), if any.
-template <class M>
-net::DelayDevice* install_chain(M& machine, const Scenario& s) {
-  net::DelayDevice* delay = nullptr;
-  if (wants_stack(s)) {
-    const net::ReliabilityStack& stack = machine.add_reliability_stack(
-        s.reliable, s.faults, stack_delay(s), s.heartbeat, s.coalesce,
-        s.compression, s.striping);
-    apply_artificial_links(stack.delay, machine.topology());
-    delay = stack.delay;
-    if (s.adaptive.enabled) machine.add_adaptive_controller(s.adaptive);
-  } else {
-    // Clean fabric: coalesce (if requested) above the bare delay device,
-    // so a bundle pays the artificial WAN latency once.
-    if (s.coalesce.enabled) machine.add_coalesce_device(s.coalesce);
-    if (s.mode == Scenario::Mode::kArtificial && stack_delay(s) > 0) {
-      delay = machine.add_delay_device(s.artificial_one_way);
-      apply_artificial_links(delay, machine.topology());
-    }
-  }
-  return delay;
-}
-
-std::unique_ptr<core::SimMachine> build_sim(const Scenario& s) {
-  auto machine = std::make_unique<core::SimMachine>(s.topology(),
-                                                    link_config(s), overheads());
-  net::DelayDevice* delay = install_chain(*machine, s);
-  core::SimMachine* sim = machine.get();
-  schedule_link_drifts(s, delay, [sim](sim::TimeNs at, auto fn) {
-    sim->engine().schedule_at(at, std::move(fn));
-  });
-  wire_idle_flush(*machine);
-  machine->set_tracing(s.tracing);
-  return machine;
-}
-
-std::unique_ptr<core::ThreadMachine> build_thread(const Scenario& s,
-                                                  core::MachineOptions options) {
-  auto machine = std::make_unique<core::ThreadMachine>(s.topology(),
-                                                       link_config(s), options);
-  net::DelayDevice* delay = install_chain(*machine, s);
-  core::ThreadMachine* tm = machine.get();
-  schedule_link_drifts(s, delay, [tm](sim::TimeNs at, auto fn) {
-    tm->fabric().host_schedule(at, std::move(fn));
-  });
-  wire_idle_flush(*machine);
-  machine->set_tracing(s.tracing);
-  return machine;
-}
-
-std::unique_ptr<core::ProcessMachine> build_process(
-    const Scenario& s, core::MachineOptions options) {
-  auto machine = std::make_unique<core::ProcessMachine>(s.topology(),
-                                                        link_config(s), options);
-  net::DelayDevice* delay = install_chain(*machine, s);
-  core::ProcessMachine* pm = machine.get();
-  // Pre-fork schedule_at stages the retargets for replay in *every*
-  // process: each one's inherited delay-device copy drifts in step.
-  schedule_link_drifts(s, delay, [pm](sim::TimeNs at, auto fn) {
-    pm->schedule_at(at, std::move(fn));
-  });
-  wire_idle_flush(*machine);
-  machine->set_tracing(s.tracing);
-  return machine;
-}
-
-}  // namespace
-
-std::unique_ptr<core::Machine> make_machine(const Scenario& scenario,
-                                            Backend backend,
-                                            core::MachineOptions options) {
+std::unique_ptr<core::Machine> construct(const Scenario& s, Backend backend,
+                                         core::MachineOptions options) {
   switch (backend) {
     case Backend::kSim:
-      return build_sim(scenario);
+      return std::make_unique<core::SimMachine>(s.topology(), link_config(s),
+                                                overheads());
     case Backend::kThread:
-      return build_thread(scenario, options);
+      return std::make_unique<core::ThreadMachine>(s.topology(),
+                                                   link_config(s), options);
     case Backend::kProcess:
-      return build_process(scenario, options);
+      return std::make_unique<core::ProcessMachine>(s.topology(),
+                                                    link_config(s), options);
   }
   MDO_CHECK_MSG(false, "unknown backend");
   return nullptr;
 }
 
-std::unique_ptr<core::SimMachine> make_sim_machine(const Scenario& s) {
-  return build_sim(s);
-}
+}  // namespace
 
-std::unique_ptr<core::ThreadMachine> make_thread_machine(
-    const Scenario& s, core::MachineOptions options) {
-  return build_thread(s, options);
+std::unique_ptr<core::Machine> make_machine(const Scenario& s,
+                                            Backend backend,
+                                            core::MachineOptions options) {
+  std::unique_ptr<core::Machine> machine = construct(s, backend, options);
+  // The same chain on every backend: the full reliability stack, or on a
+  // clean fabric just coalescing above the bare delay device, so a bundle
+  // pays the artificial WAN latency once.
+  const net::ReliabilityStack& chain = machine->install_chain(
+      wants_stack(s) ? std::optional(s.reliable) : std::nullopt, s.faults,
+      stack_delay(s), s.heartbeat, s.coalesce, s.compression, s.striping,
+      s.adaptive);
+  net::DelayDevice* delay = chain.delay;
+  apply_artificial_links(delay, machine->topology());
+
+  // Scheduled link drifts retarget the delay device at their machine
+  // times (before ProcessMachine forks, each process's inherited copy
+  // drifts in step).
+  for (const Scenario::LinkDrift& d : s.link_drifts) {
+    MDO_CHECK_MSG(delay != nullptr,
+                  "link drifts need the artificial delay device");
+    machine->call_after(d.at, [delay, d] {
+      delay->set_cluster_delay(d.src, d.dst, d.latency);
+    });
+  }
+
+  // A PE that runs out of work flushes its pending bundles immediately
+  // instead of waiting out the backstop timer.
+  if (net::CoalesceDevice* coalesce = machine->coalesce()) {
+    machine->set_on_pe_idle([coalesce](core::Pe pe) {
+      coalesce->flush_source(static_cast<net::NodeId>(pe));
+    });
+  }
+  machine->set_tracing(s.tracing);
+  return machine;
 }
 
 }  // namespace mdo::grid

@@ -381,52 +381,62 @@ void ReliableDevice::send_ack(NodeId data_src, NodeId data_dst,
 }
 
 ReliabilityStack install_reliability_stack(
-    Chain& chain, const Topology* topo, const ReliableConfig& reliable,
-    const FaultConfig& faults, sim::TimeNs cross_cluster_delay,
-    const HeartbeatConfig& heartbeat, const CoalesceConfig& coalesce,
-    const CompressionConfig& compression, const StripingConfig& striping) {
+    Chain& chain, const Topology* topo,
+    const std::optional<ReliableConfig>& reliable, const FaultConfig& faults,
+    sim::TimeNs cross_cluster_delay, const HeartbeatConfig& heartbeat,
+    const CoalesceConfig& coalesce, const CompressionConfig& compression,
+    const StripingConfig& striping) {
   ReliabilityStack stack;
   if (coalesce.enabled) {
     stack.coalesce =
         chain.add(std::make_unique<CoalesceDevice>(topo, coalesce));
   }
-  if (compression.enabled) {
-    stack.compress = chain.add(
-        std::make_unique<CompressionDevice>(compression.cpu_ns_per_byte));
-  }
-  if (striping.enabled) {
-    stack.stripe = chain.add(
-        std::make_unique<StripingDevice>(striping.rails, striping.min_bytes));
-  }
-  stack.reliable = chain.add(std::make_unique<ReliableDevice>(reliable, topo));
-  if (heartbeat.enabled) {
-    stack.heartbeat =
-        chain.add(std::make_unique<HeartbeatDevice>(topo, heartbeat));
-    if (stack.coalesce != nullptr) {
-      // Bundling must not widen the detection window: every unbundled
-      // bundle refreshes its source's liveness, exactly as the n frames
-      // it replaced would have.
-      HeartbeatDevice* hb = stack.heartbeat;
-      stack.coalesce->set_unbundle_listener(
-          [hb](NodeId src) { hb->note_alive(src); });
+  if (reliable.has_value()) {
+    if (compression.enabled) {
+      stack.compress = chain.add(
+          std::make_unique<CompressionDevice>(compression.cpu_ns_per_byte));
     }
-    // Detector verdicts drive the flows: suspicion pauses (quarantine),
-    // demotion replays seq-exact, confirmed death drops quietly.
-    ReliableDevice* rel = stack.reliable;
-    stack.heartbeat->set_state_listener(
-        [rel](NodeId node, PeerState from, PeerState to, sim::TimeNs) {
-          if (to == PeerState::kSuspect) {
-            rel->set_peer_quarantined(node, true);
-          } else if (from == PeerState::kSuspect && to == PeerState::kAlive) {
-            rel->set_peer_quarantined(node, false);
-          } else if (to == PeerState::kDead) {
-            rel->abandon_peer(node);
-          }
-        });
+    if (striping.enabled) {
+      stack.stripe = chain.add(
+          std::make_unique<StripingDevice>(striping.rails, striping.min_bytes));
+    }
+    stack.reliable =
+        chain.add(std::make_unique<ReliableDevice>(*reliable, topo));
+    if (heartbeat.enabled) {
+      stack.heartbeat =
+          chain.add(std::make_unique<HeartbeatDevice>(topo, heartbeat));
+      if (stack.coalesce != nullptr) {
+        // Bundling must not widen the detection window: every unbundled
+        // bundle refreshes its source's liveness, exactly as the n frames
+        // it replaced would have.
+        HeartbeatDevice* hb = stack.heartbeat;
+        stack.coalesce->set_unbundle_listener(
+            [hb](NodeId src) { hb->note_alive(src); });
+      }
+      // Detector verdicts drive the flows: suspicion pauses (quarantine),
+      // demotion replays seq-exact, confirmed death drops quietly.
+      ReliableDevice* rel = stack.reliable;
+      stack.heartbeat->set_state_listener(
+          [rel](NodeId node, PeerState from, PeerState to, sim::TimeNs) {
+            if (to == PeerState::kSuspect) {
+              rel->set_peer_quarantined(node, true);
+            } else if (from == PeerState::kSuspect &&
+                       to == PeerState::kAlive) {
+              rel->set_peer_quarantined(node, false);
+            } else if (to == PeerState::kDead) {
+              rel->abandon_peer(node);
+            }
+          });
+    }
+    stack.checksum =
+        chain.add(std::make_unique<ChecksumDevice>(/*drop_on_mismatch=*/true));
+    stack.faults = chain.add(std::make_unique<FaultDevice>(faults, topo));
+  } else {
+    MDO_CHECK_MSG(!faults.any() && !heartbeat.enabled &&
+                      !compression.enabled && !striping.enabled,
+                  "faults, failure detection, compression and striping "
+                  "need the reliable part of the stack");
   }
-  stack.checksum =
-      chain.add(std::make_unique<ChecksumDevice>(/*drop_on_mismatch=*/true));
-  stack.faults = chain.add(std::make_unique<FaultDevice>(faults, topo));
   if (cross_cluster_delay > 0) {
     stack.delay =
         chain.add(std::make_unique<DelayDevice>(topo, cross_cluster_delay));

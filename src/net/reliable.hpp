@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "net/chain.hpp"
@@ -236,6 +237,9 @@ struct ReliabilityStack {
 /// Append the canonical lossy-WAN stack to `chain`:
 ///   [coalesce] -> [compress] -> [stripe] -> reliable -> [heartbeat]
 ///   -> checksum(drop_on_mismatch) -> fault -> [delay]
+/// Without `reliable` this is the stack minus its reliable part, a clean
+/// fabric: [coalesce] -> [delay]. Faults, heartbeat, compression and
+/// striping need the reliable part and must then be off.
 /// The delay device is appended only when cross_cluster_delay > 0, below
 /// the fault device so retransmissions and acks pay full WAN latency.
 /// The heartbeat failure detector is appended only when enabled: below
@@ -257,8 +261,9 @@ struct ReliabilityStack {
 /// so a lost rail is retransmitted alone. Both are the adaptive
 /// controller's retune targets (net/adaptive.hpp).
 ReliabilityStack install_reliability_stack(
-    Chain& chain, const Topology* topo, const ReliableConfig& reliable,
-    const FaultConfig& faults, sim::TimeNs cross_cluster_delay,
+    Chain& chain, const Topology* topo,
+    const std::optional<ReliableConfig>& reliable, const FaultConfig& faults,
+    sim::TimeNs cross_cluster_delay,
     const HeartbeatConfig& heartbeat = {}, const CoalesceConfig& coalesce = {},
     const CompressionConfig& compression = {},
     const StripingConfig& striping = {});

@@ -52,6 +52,8 @@ struct ParityRun {
   double sum = 0.0;
   std::uint64_t wan_wire_frames = 0;
   std::uint64_t msgs_executed = 0;
+  std::uint64_t msgs_sent = 0;
+  std::uint64_t msgs_dropped = 0;
   std::uint64_t shard_handoffs = 0;   ///< rt.sched.shard.handoffs
   double shards = 0.0;                ///< rt.sched.shard.shards gauge
   std::set<std::string> metric_keys;  ///< rt./mem./trace.-prefixed names
@@ -88,6 +90,8 @@ ParityRun run_reduction(grid::Backend backend, int rounds) {
   out.wan_wire_frames = rt.machine().fabric_stats().wan_wire_frames;
   auto snap = rt.machine().metrics().snapshot();
   out.msgs_executed = snap.counter("rt.sched.msgs_executed");
+  out.msgs_sent = snap.counter("rt.sched.msgs_sent");
+  out.msgs_dropped = snap.counter("rt.sched.msgs_dropped");
   out.shard_handoffs = snap.counter("rt.sched.shard.handoffs");
   out.shards = snap.gauge("rt.sched.shard.shards");
   for (const auto& [name, value] : snap.values) {
@@ -166,6 +170,17 @@ TEST(BackendParity, ShardedSchedulerKeepsReductionsAndShardSchemaAligned) {
     EXPECT_EQ(shard_keys, want) << backend_name(b);
     EXPECT_GT(r.shard_handoffs, 0u) << backend_name(b);
     EXPECT_DOUBLE_EQ(r.shards, static_cast<double>(r.num_pes))
+        << backend_name(b);
+  }
+}
+
+TEST(BackendParity, SentEqualsExecutedPlusDropped) {
+  // The scheduler's accounting invariant, on every backend: each send is
+  // counted once, at its source PE, and ends either executed or dropped.
+  for (grid::Backend b : kBackends) {
+    ParityRun r = run_reduction(b, 3);
+    EXPECT_GT(r.msgs_sent, 0u) << backend_name(b);
+    EXPECT_EQ(r.msgs_sent, r.msgs_executed + r.msgs_dropped)
         << backend_name(b);
   }
 }

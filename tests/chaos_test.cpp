@@ -24,6 +24,7 @@
 #include "core/mapping.hpp"
 #include "core/runtime.hpp"
 #include "grid/scenario.hpp"
+#include "machine_probe.hpp"
 #include "net/heartbeat.hpp"
 
 namespace {
@@ -280,6 +281,58 @@ TEST(ChaosThread, ManualPartitionHealsExactlyOnce) {
   EXPECT_EQ(hb->counters().peers_declared_dead, 0u);
   EXPECT_EQ(tm->parked_envelopes(), 0u);
   EXPECT_EQ(tm->pes_killed(), 0u);
+}
+
+TEST(ChaosThread, QuarantineParksSendersAndFlushesExactlyOnceOnHeal) {
+  // Backpressure on real threads: node 4's cluster is cut off and
+  // suspected, so its quarantine buffer (4 frames) fills and the machine
+  // parks the rest of a 40-message burst. The heal must flush every
+  // parked envelope back onto the wire, each delivered exactly once.
+  grid::Scenario s = grid::Scenario::artificial(5, sim::milliseconds(1.0))
+                         .with_clusters(3)
+                         .with_crashes();
+  s.heartbeat.period = sim::milliseconds(10.0);
+  s.heartbeat.timeout = sim::milliseconds(60.0);
+  s.heartbeat.confirm_window = sim::seconds(30.0);  // never confirms here
+  s.reliable.give_up_budget = sim::seconds(60.0);
+  s.reliable.quarantine_max_frames = 4;
+  core::MachineOptions cfg;
+  cfg.emulate_charge = false;
+  Runtime rt(grid::make_machine(s, grid::Backend::kThread, cfg));
+  auto proxy = rt.create_array<Poke>(
+      "pokes", core::indices_1d(5), core::round_robin_map(5),
+      [](const Index&) { return std::make_unique<Poke>(); });
+  core::Machine& m = rt.machine();
+  net::FaultDevice* fd = m.reliability().faults;
+  net::ReliableDevice* rel = m.reliability().reliable;
+  ASSERT_NE(m.reliability().heartbeat, nullptr);
+
+  m.reliability().heartbeat->watch(sim::seconds(60.0));
+  for (net::ClusterId other : {0, 1}) {
+    fd->set_partition_active(2, other, true);
+    fd->set_partition_active(other, 2, true);
+  }
+  ASSERT_TRUE(probe::eventually_on_machine_loop(
+      m, [rel] { return rel->peer_quarantined(4); }, std::chrono::seconds(10)));
+  for (int i = 0; i < 40; ++i) proxy.send<&Poke::add>(Index(4), 1);
+  const std::size_t parked_mid_outage = m.parked_envelopes();
+  for (net::ClusterId other : {0, 1}) {
+    fd->set_partition_active(2, other, false);
+    fd->set_partition_active(other, 2, false);
+  }
+  rt.run();
+
+  EXPECT_GT(parked_mid_outage, 0u);
+  EXPECT_EQ(proxy.local(Index(4))->value, 40);
+  EXPECT_EQ(m.parked_envelopes(), 0u);
+  // Snapshot on the fabric thread: the detector is still beating there.
+  const obs::Snapshot snap =
+      probe::on_machine_loop(m, [&m] { return m.metrics().snapshot(); });
+  EXPECT_GT(snap.counter("rt.sched.stall_parked"), 0u);
+  EXPECT_EQ(snap.counter("rt.sched.stall_resumed"),
+            snap.counter("rt.sched.stall_parked"));
+  EXPECT_EQ(snap.counter("net.reliable.flows_abandoned"), 0u);
+  EXPECT_EQ(snap.counter("net.heartbeat.peers_declared_dead"), 0u);
 }
 
 }  // namespace

@@ -13,11 +13,14 @@
 #include <vector>
 
 #include "apps/stencil/stencil.hpp"
+#include "core/array.hpp"
 #include "core/fault_tolerance.hpp"
+#include "core/mapping.hpp"
 #include "core/process_machine.hpp"
 #include "core/runtime.hpp"
 #include "grid/scenario.hpp"
 #include "ldb/balancers.hpp"
+#include "machine_probe.hpp"
 
 namespace {
 
@@ -25,6 +28,7 @@ using namespace mdo;
 using apps::stencil::Params;
 using apps::stencil::StencilApp;
 using core::FaultTolerance;
+using core::Index;
 using core::Pe;
 using core::Runtime;
 
@@ -163,6 +167,64 @@ TEST(ProcessMachine, SigkilledPeIsDetectedAndRecoveredFromBuddyCheckpoint) {
   for (std::size_t i = 0; i < mesh.size(); ++i) {
     ASSERT_NEAR(mesh[i], ref[i], 1e-12) << "cell " << i;
   }
+}
+
+struct Poke : core::Chare {
+  std::int64_t value = 0;
+  void add(std::int64_t by) { value += by; }
+  void pup(Pup& p) override {
+    Chare::pup(p);
+    p | value;
+  }
+};
+
+TEST(ProcessMachine, QuarantineBackpressureParksAndFlushesExactlyOnce) {
+  // Quarantine backpressure across processes. A scheduled partition cuts
+  // node 4's cluster off in every process's fault device; the parent
+  // suspects node 4, its quarantine buffer (4 frames) fills, and the
+  // parent parks the rest of a 40-message burst. When the window closes
+  // the heal must flush every parked envelope, each delivered exactly
+  // once to the child that hosts node 4's element.
+  const sim::TimeNs kOutage = sim::seconds(3.0);
+  grid::Scenario s = grid::Scenario::artificial(5, sim::milliseconds(1.0))
+                         .with_clusters(3)
+                         .with_crashes();
+  s.heartbeat.period = sim::milliseconds(10.0);
+  s.heartbeat.timeout = sim::milliseconds(60.0);
+  s.heartbeat.confirm_window = sim::seconds(30.0);  // never confirms here
+  s.reliable.give_up_budget = sim::seconds(60.0);
+  s.reliable.quarantine_max_frames = 4;
+  for (net::ClusterId other : {0, 1}) {
+    s.with_partition(2, other, 0, kOutage);
+    s.with_partition(other, 2, 0, kOutage);
+  }
+  Runtime rt(
+      grid::make_machine(s, grid::Backend::kProcess, wall_clock_options()));
+  auto proxy = rt.create_array<Poke>(
+      "pokes", core::indices_1d(5), core::round_robin_map(5),
+      [](const Index&) { return std::make_unique<Poke>(); });
+  core::Machine& m = rt.machine();
+  net::ReliableDevice* rel = m.reliability().reliable;
+  // Armed before the fork, so every process replays the watch.
+  m.reliability().heartbeat->watch(sim::seconds(60.0));
+  rt.run();  // forks the mesh
+
+  ASSERT_TRUE(probe::eventually_on_machine_loop(
+      m, [rel] { return rel->peer_quarantined(4); }, std::chrono::seconds(10)));
+  for (int i = 0; i < 40; ++i) proxy.send<&Poke::add>(Index(4), 1);
+  const std::size_t parked_mid_outage = m.parked_envelopes();
+  ASSERT_LT(m.now(), kOutage) << "the burst must land inside the outage";
+  rt.run();
+
+  EXPECT_GT(parked_mid_outage, 0u);
+  EXPECT_EQ(proxy.local(Index(4))->value, 40);
+  EXPECT_EQ(m.parked_envelopes(), 0u);
+  const obs::Snapshot snap = m.metrics().snapshot();
+  EXPECT_GT(snap.counter("rt.sched.stall_parked"), 0u);
+  EXPECT_EQ(snap.counter("rt.sched.stall_resumed"),
+            snap.counter("rt.sched.stall_parked"));
+  EXPECT_EQ(snap.counter("net.reliable.flows_abandoned"), 0u);
+  EXPECT_EQ(snap.counter("net.heartbeat.peers_declared_dead"), 0u);
 }
 
 }  // namespace
