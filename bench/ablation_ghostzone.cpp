@@ -5,10 +5,10 @@
 // frequent messages.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "util/options.hpp"
-#include "util/strings.hpp"
 
 using namespace mdo;
 
@@ -16,14 +16,14 @@ int main(int argc, char** argv) {
   std::int64_t pes = 16;
   std::int64_t warmup = 0;
   std::int64_t steps = 12;
-  std::string latency_list = "0,8,32";
+  std::vector<std::int64_t> latencies = {0, 8, 32};
 
   Options opts(
       "ablation_ghostzone — ghost-zone expansion [6] vs virtualization");
   opts.add_int("pes", &pes, "processor count")
       .add_int("warmup", &warmup, "warmup steps (multiple of every g)")
       .add_int("steps", &steps, "measured steps (multiple of every g)")
-      .add_string("latencies", &latency_list, "one-way latencies in ms");
+      .add_int_list("latencies", &latencies, "one-way latencies in ms");
   if (!opts.parse(argc, argv)) return opts.error() ? 1 : 0;
 
   struct Config {
@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
                        std::to_string(pes) +
                        " PEs — ghost-zone width vs virtualization (ms/step)");
   std::vector<std::string> header{"configuration"};
-  auto latencies = parse_int_list(latency_list);
   for (std::int64_t lat : latencies)
     header.push_back(std::to_string(lat) + "ms");
   TextTable table(header);

@@ -4,10 +4,10 @@
 // resolve sooner once the message lands.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "util/options.hpp"
-#include "util/strings.hpp"
 
 using namespace mdo;
 
@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   std::int64_t objects = 256;
   std::int64_t warmup = 2;
   std::int64_t steps = 10;
-  std::string latency_list = "0,2,4,8,16,32";
+  std::vector<std::int64_t> latencies = {0, 2, 4, 8, 16, 32};
 
   Options opts(
       "ablation_priority — FIFO vs prioritized delivery of WAN messages");
@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
       .add_int("objects", &objects, "stencil objects")
       .add_int("warmup", &warmup, "warmup steps")
       .add_int("steps", &steps, "measured steps")
-      .add_string("latencies", &latency_list, "one-way latencies in ms");
+      .add_int_list("latencies", &latencies, "one-way latencies in ms");
   if (!opts.parse(argc, argv)) return opts.error() ? 1 : 0;
 
   bench::print_section(
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       " objects — FIFO vs WAN-prioritized delivery (ms/step)");
   TextTable table({"latency_ms", "fifo", "wan_prioritized", "speedup_pct"});
 
-  for (std::int64_t lat : parse_int_list(latency_list)) {
+  for (std::int64_t lat : latencies) {
     auto scenario = grid::Scenario::artificial(
         static_cast<std::size_t>(pes),
         sim::milliseconds(static_cast<double>(lat)));

@@ -36,7 +36,6 @@
 #include "net/heartbeat.hpp"
 #include "net/reliable.hpp"
 #include "util/options.hpp"
-#include "util/strings.hpp"
 
 using namespace mdo;
 
@@ -111,7 +110,7 @@ int main(int argc, char** argv) {
   double high_ms = 32.0;
   double cycle_ms = 200.0;
   double high_frac = 0.75;
-  std::string window_list = "250,500,1000,2000,4000";
+  std::vector<double> windows = {250, 500, 1000, 2000, 4000};
   bool csv = false;
 
   Options opts(
@@ -128,8 +127,8 @@ int main(int argc, char** argv) {
       .add_double("cycle", &cycle_ms, "bursty-wave cycle length (ms)")
       .add_double("high-frac", &high_frac,
                   "fraction of each cycle spent at the slow latency")
-      .add_string("windows", &window_list,
-                  "comma-separated static flush windows (us)")
+      .add_double_list("windows", &windows,
+                       "comma-separated static flush windows (us)")
       .add_flag("csv", &csv, "emit CSV instead of an aligned table");
   if (!opts.parse(argc, argv)) return opts.error() ? 1 : 0;
 
@@ -237,8 +236,8 @@ int main(int argc, char** argv) {
   TextTable table(
       {"config", "step_ms", "wan_frames", "adaptive_wins_on"});
   std::vector<std::pair<std::string, SweepRun>> statics;
-  for (const std::string& field : split(window_list, ',')) {
-    const sim::TimeNs window = sim::microseconds(std::stod(field));
+  for (const double window_us : windows) {
+    const sim::TimeNs window = sim::microseconds(window_us);
     grid::Scenario st = diurnal_base().with_coalescing().with_reliability();
     st.coalesce.flush_timeout = window;
     SweepRun run = run_once(st, static_cast<std::int32_t>(mesh),

@@ -7,12 +7,12 @@
 // A second section sweeps the bundle-size threshold at fixed latency.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "net/coalesce.hpp"
 #include "obs/metrics.hpp"
 #include "util/options.hpp"
-#include "util/strings.hpp"
 
 using namespace mdo;
 
@@ -82,8 +82,8 @@ int main(int argc, char** argv) {
   std::int64_t leanmd_cells = 4;
   std::int64_t leanmd_atoms = 100;
   std::int64_t leanmd_steps = 4;
-  std::string latency_list = "1,2,4,8,16";
-  std::string bundle_list = "2,4,8,16,32,64";
+  std::vector<double> latencies = {1, 2, 4, 8, 16};
+  std::vector<std::int64_t> bundles = {2, 4, 8, 16, 32, 64};
   std::int64_t fixed_latency_ms = 8;
   std::int64_t flush_us = 0;
   bool csv = false;
@@ -102,10 +102,10 @@ int main(int argc, char** argv) {
       .add_int("leanmd-steps", &leanmd_steps, "measured LeanMD steps")
       .add_int("fixed-latency", &fixed_latency_ms,
                "one-way latency (ms) for the bundle-threshold sweep")
-      .add_string("latencies", &latency_list,
-                  "comma-separated one-way latencies in ms")
-      .add_string("bundles", &bundle_list,
-                  "comma-separated max_bundle_packets values")
+      .add_double_list("latencies", &latencies,
+                       "comma-separated one-way latencies in ms")
+      .add_int_list("bundles", &bundles,
+                    "comma-separated max_bundle_packets values")
       .add_int("flush-us", &flush_us,
                "override the aggregation window (us); 0 = latency-sized")
       .add_flag("csv", &csv, "emit CSV instead of aligned tables");
@@ -126,8 +126,7 @@ int main(int argc, char** argv) {
                    "base_wan_frames", "coal_wan_frames", "reduction_pct",
                    "bundles", "mean_occ", "flush_size", "flush_timer",
                    "flush_idle"});
-  for (const std::string& field : split(latency_list, ',')) {
-    const double latency_ms = std::stod(field);
+  for (const double latency_ms : latencies) {
     const sim::TimeNs one_way = sim::milliseconds(latency_ms);
     const auto pe_count = static_cast<std::size_t>(pes);
     auto base = run_stencil(grid::Scenario::artificial(pe_count, one_way), sp,
@@ -168,11 +167,11 @@ int main(int argc, char** argv) {
     auto base = run_stencil(grid::Scenario::artificial(pe_count, one_way), sp,
                             static_cast<std::int32_t>(warmup),
                             static_cast<std::int32_t>(steps));
-    for (const std::string& field : split(bundle_list, ',')) {
+    for (const std::int64_t max_pkts : bundles) {
       auto scenario =
           grid::Scenario::artificial(pe_count, one_way).with_coalescing();
       scenario.coalesce.max_bundle_packets =
-          static_cast<std::size_t>(std::stoll(field));
+          static_cast<std::size_t>(max_pkts);
       if (flush_us > 0) {
         scenario.coalesce.flush_timeout =
             sim::microseconds(static_cast<double>(flush_us));
@@ -180,7 +179,7 @@ int main(int argc, char** argv) {
       auto coal = run_stencil(scenario, sp, static_cast<std::int32_t>(warmup),
                               static_cast<std::int32_t>(steps));
       bt.add_row(
-          {field, fmt_double(coal.ms_per_step, 3),
+          {std::to_string(max_pkts), fmt_double(coal.ms_per_step, 3),
            fmt_double(pct_delta(base.ms_per_step, coal.ms_per_step), 2),
            std::to_string(coal.wan_wire_frames),
            fmt_double(pct_reduction(base.wan_wire_frames, coal.wan_wire_frames),
@@ -201,8 +200,7 @@ int main(int argc, char** argv) {
   TextTable lt({"latency_ms", "base_ms_step", "coal_ms_step", "delta_pct",
                 "base_wan_frames", "coal_wan_frames", "reduction_pct",
                 "bundles", "mean_occ"});
-  for (const std::string& field : split(latency_list, ',')) {
-    const double latency_ms = std::stod(field);
+  for (const double latency_ms : latencies) {
     const sim::TimeNs one_way = sim::milliseconds(latency_ms);
     const auto pe_count = static_cast<std::size_t>(pes);
     auto base = run_leanmd(grid::Scenario::artificial(pe_count, one_way), lp, 1,

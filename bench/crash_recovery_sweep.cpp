@@ -17,12 +17,12 @@
 // checkpointing nor crash recovery may perturb the computed values.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/fault_tolerance.hpp"
 #include "ldb/balancers.hpp"
 #include "util/options.hpp"
-#include "util/strings.hpp"
 
 using namespace mdo;
 
@@ -149,8 +149,8 @@ int main(int argc, char** argv) {
   std::int64_t pes = 8;
   std::int64_t objects = 64;
   std::int64_t total_steps = 20;
-  std::string latency_list = "0,8,32";
-  std::string period_list = "1,2,5,10";
+  std::vector<double> latencies = {0, 8, 32};
+  std::vector<std::int64_t> periods = {1, 2, 5, 10};
   std::int64_t seed = 1;
   bool csv = false;
 
@@ -162,10 +162,10 @@ int main(int argc, char** argv) {
       .add_int("pes", &pes, "processors, split across two clusters")
       .add_int("objects", &objects, "chare objects (virtualization degree)")
       .add_int("steps", &total_steps, "total stencil steps per run")
-      .add_string("latencies", &latency_list,
-                  "comma-separated one-way WAN latencies (ms)")
-      .add_string("periods", &period_list,
-                  "comma-separated checkpoint periods (steps)")
+      .add_double_list("latencies", &latencies,
+                       "comma-separated one-way WAN latencies (ms)")
+      .add_int_list("periods", &periods,
+                    "comma-separated checkpoint periods (steps)")
       .add_int("seed", &seed, "scenario RNG seed")
       .add_flag("csv", &csv, "emit CSV instead of aligned tables");
   if (!opts.parse(argc, argv)) return opts.error() ? 1 : 0;
@@ -184,8 +184,7 @@ int main(int argc, char** argv) {
                    "detect_ms", "stall_ms", "recover_ms", "redo_ms",
                    "bit_identical"});
 
-  for (const std::string& lat_field : split(latency_list, ',')) {
-    const double latency_ms = std::stod(lat_field);
+  for (const double latency_ms : latencies) {
     Config cfg;
     cfg.pes = static_cast<std::size_t>(pes);
     cfg.one_way = sim::milliseconds(latency_ms);
@@ -198,11 +197,11 @@ int main(int argc, char** argv) {
     double base_ms_step = 0.0;
     const std::vector<double> reference = run_baseline(cfg, &base_ms_step);
 
-    for (const std::string& period_field : split(period_list, ',')) {
-      cfg.period = static_cast<std::int32_t>(std::stol(period_field));
+    for (const std::int64_t period : periods) {
+      cfg.period = static_cast<std::int32_t>(period);
       if (cfg.period <= 0 || cfg.total_steps % cfg.period != 0) {
-        std::fprintf(stderr, "skipping period %s (must divide %lld)\n",
-                     period_field.c_str(),
+        std::fprintf(stderr, "skipping period %lld (must divide %lld)\n",
+                     static_cast<long long>(period),
                      static_cast<long long>(total_steps));
         continue;
       }

@@ -8,10 +8,10 @@
 // climbs with a shallower slope once masking saturates.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "util/options.hpp"
-#include "util/strings.hpp"
 
 using namespace mdo;
 
@@ -19,21 +19,19 @@ int main(int argc, char** argv) {
   std::int64_t mesh = 2048;
   std::int64_t warmup = 2;
   std::int64_t steps = 10;
-  std::string pe_list = "2,4,8,16,32,64";
-  std::string latency_list = "0,1,2,4,8,16,32";
+  std::vector<std::int64_t> pes = {2, 4, 8, 16, 32, 64};
+  std::vector<std::int64_t> latencies = {0, 1, 2, 4, 8, 16, 32};
   bool csv = false;
 
   Options opts("fig3_stencil_latency — Figure 3: stencil ms/step vs WAN latency");
   opts.add_int("mesh", &mesh, "mesh edge (cells)")
       .add_int("warmup", &warmup, "warmup steps per configuration")
       .add_int("steps", &steps, "measured steps per configuration")
-      .add_string("pes", &pe_list, "comma-separated processor counts")
-      .add_string("latencies", &latency_list, "one-way latencies in ms")
+      .add_int_list("pes", &pes, "comma-separated processor counts")
+      .add_int_list("latencies", &latencies, "one-way latencies in ms")
       .add_flag("csv", &csv, "emit CSV instead of aligned tables");
   if (!opts.parse(argc, argv)) return opts.error() ? 1 : 0;
 
-  auto pes = parse_int_list(pe_list);
-  auto latencies = parse_int_list(latency_list);
 
   std::printf("Figure 3: five-point stencil %lldx%lld, two clusters, "
               "artificial one-way latency sweep (ms/step)\n",

@@ -8,30 +8,28 @@
 // the step time bend the curves upward.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "util/options.hpp"
-#include "util/strings.hpp"
 
 using namespace mdo;
 
 int main(int argc, char** argv) {
   std::int64_t warmup = 1;
   std::int64_t steps = 4;
-  std::string pe_list = "2,4,8,16,32,64";
-  std::string latency_list = "1,2,4,8,16,32,64,128,256";
+  std::vector<std::int64_t> pes = {2, 4, 8, 16, 32, 64};
+  std::vector<std::int64_t> latencies = {1, 2, 4, 8, 16, 32, 64, 128, 256};
   bool csv = false;
 
   Options opts("fig4_leanmd_latency — Figure 4: LeanMD s/step vs WAN latency");
   opts.add_int("warmup", &warmup, "warmup steps per configuration")
       .add_int("steps", &steps, "measured steps per configuration")
-      .add_string("pes", &pe_list, "comma-separated processor counts")
-      .add_string("latencies", &latency_list, "one-way latencies in ms")
+      .add_int_list("pes", &pes, "comma-separated processor counts")
+      .add_int_list("latencies", &latencies, "one-way latencies in ms")
       .add_flag("csv", &csv, "emit CSV instead of an aligned table");
   if (!opts.parse(argc, argv)) return opts.error() ? 1 : 0;
 
-  auto pes = parse_int_list(pe_list);
-  auto latencies = parse_int_list(latency_list);
 
   bench::print_section(
       "Figure 4: LeanMD 216 cells / 3024 cell pairs — s/step vs artificial "

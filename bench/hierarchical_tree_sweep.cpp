@@ -9,11 +9,11 @@
 // gate (`ctest -L perf`) against bench/baselines/.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/tree.hpp"
 #include "util/options.hpp"
-#include "util/strings.hpp"
 
 using namespace mdo;
 
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   std::int64_t leanmd_cells = 4;
   std::int64_t leanmd_atoms = 50;
   std::int64_t leanmd_steps = 3;
-  std::string cluster_list = "2,4,8";
+  std::vector<std::int64_t> cluster_counts = {2, 4, 8};
   double latency_ms = 4.0;
   bool csv = false;
 
@@ -96,7 +96,8 @@ int main(int argc, char** argv) {
       .add_int("leanmd-atoms", &leanmd_atoms, "LeanMD atoms per cell")
       .add_int("leanmd-steps", &leanmd_steps, "measured LeanMD steps")
       .add_double("latency", &latency_ms, "base one-way WAN latency (ms)")
-      .add_string("clusters", &cluster_list, "comma-separated cluster counts")
+      .add_int_list("clusters", &cluster_counts,
+                    "comma-separated cluster counts")
       .add_flag("csv", &csv, "emit CSV instead of aligned tables");
   if (!opts.parse(argc, argv)) return opts.error() ? 1 : 0;
 
@@ -120,8 +121,8 @@ int main(int argc, char** argv) {
   bench::print_section("stencil: flat vs hierarchical trees");
   TextTable st({"clusters", "pes", "flat_ms_step", "hier_ms_step",
                 "flat_wan_frames", "hier_wan_frames", "reduction_pct"});
-  for (const std::string& field : split(cluster_list, ',')) {
-    const auto clusters = static_cast<std::size_t>(std::stoll(field));
+  for (const std::int64_t count : cluster_counts) {
+    const auto clusters = static_cast<std::size_t>(count);
     const auto pes = clusters * static_cast<std::size_t>(pes_per_cluster);
     grid::Scenario s = grid::Scenario::artificial(pes, sim::milliseconds(latency_ms))
                            .with_clusters(clusters);
@@ -131,7 +132,8 @@ int main(int argc, char** argv) {
     auto hier = run_stencil(s, core::TreeMode::kHierarchical, sp,
                             static_cast<std::int32_t>(warmup),
                             static_cast<std::int32_t>(steps));
-    st.add_row({field, std::to_string(pes), fmt_double(flat.ms_per_step, 3),
+    st.add_row({std::to_string(count), std::to_string(pes),
+                fmt_double(flat.ms_per_step, 3),
                 fmt_double(hier.ms_per_step, 3),
                 std::to_string(flat.wan_wire_frames),
                 std::to_string(hier.wan_wire_frames),
@@ -146,8 +148,8 @@ int main(int argc, char** argv) {
   bench::print_section("LeanMD: flat vs hierarchical trees");
   TextTable lt({"clusters", "pes", "flat_ms_step", "hier_ms_step",
                 "flat_wan_frames", "hier_wan_frames", "reduction_pct"});
-  for (const std::string& field : split(cluster_list, ',')) {
-    const auto clusters = static_cast<std::size_t>(std::stoll(field));
+  for (const std::int64_t count : cluster_counts) {
+    const auto clusters = static_cast<std::size_t>(count);
     const auto pes = clusters * static_cast<std::size_t>(pes_per_cluster);
     grid::Scenario s = grid::Scenario::artificial(pes, sim::milliseconds(latency_ms))
                            .with_clusters(clusters);
@@ -157,7 +159,8 @@ int main(int argc, char** argv) {
     auto hier = run_leanmd(s, core::TreeMode::kHierarchical, lp,
                            /*warmup=*/1,
                            static_cast<std::int32_t>(leanmd_steps));
-    lt.add_row({field, std::to_string(pes), fmt_double(flat.ms_per_step, 3),
+    lt.add_row({std::to_string(count), std::to_string(pes),
+                fmt_double(flat.ms_per_step, 3),
                 fmt_double(hier.ms_per_step, 3),
                 std::to_string(flat.wan_wire_frames),
                 std::to_string(hier.wan_wire_frames),

@@ -6,11 +6,11 @@
 // and reports the reliability-layer counters for each loss rate.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "obs/metrics.hpp"
 #include "util/options.hpp"
-#include "util/strings.hpp"
 
 using namespace mdo;
 
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   std::int64_t warmup = 2;
   std::int64_t steps = 10;
   std::int64_t seed = 1;
-  std::string loss_list = "0,0.5,1,2,5";
+  std::vector<double> losses = {0, 0.5, 1, 2, 5};
   bool csv = false;
   bool json = false;
 
@@ -60,7 +60,8 @@ int main(int argc, char** argv) {
       .add_int("warmup", &warmup, "warmup steps per configuration")
       .add_int("steps", &steps, "measured steps per configuration")
       .add_int("seed", &seed, "fault-injection RNG seed")
-      .add_string("losses", &loss_list, "comma-separated loss rates in percent")
+      .add_double_list("losses", &losses,
+                       "comma-separated loss rates in percent")
       .add_flag("csv", &csv, "emit CSV instead of aligned tables")
       .add_flag("json", &json, "also write BENCH_lossy_wan_sweep.json");
   if (!opts.parse(argc, argv)) return opts.error() ? 1 : 0;
@@ -90,8 +91,7 @@ int main(int argc, char** argv) {
       .config("seed", seed);
 
   double baseline = 0.0;
-  for (const std::string& field : split(loss_list, ',')) {
-    const double loss_pct = std::stod(field);
+  for (const double loss_pct : losses) {
     auto scenario =
         grid::Scenario::artificial(
             static_cast<std::size_t>(pes),

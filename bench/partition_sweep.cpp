@@ -21,6 +21,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/array.hpp"
@@ -28,7 +29,6 @@
 #include "net/heartbeat.hpp"
 #include "net/reliable.hpp"
 #include "util/options.hpp"
-#include "util/strings.hpp"
 
 using namespace mdo;
 
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   double latency_ms = 8.0;
   double start_ms = 50.0;
   std::int64_t messages = 40;
-  std::string length_list = "10,40,80,160,640";
+  std::vector<double> lengths = {10, 40, 80, 160, 640};
   bool csv = false;
 
   Options opts(
@@ -113,8 +113,8 @@ int main(int argc, char** argv) {
   opts.add_double("latency", &latency_ms, "base one-way WAN latency (ms)")
       .add_double("start", &start_ms, "partition start (ms)")
       .add_int("messages", &messages, "messages pumped at the isolated node")
-      .add_string("lengths", &length_list,
-                  "comma-separated partition lengths (ms)")
+      .add_double_list("lengths", &lengths,
+                       "comma-separated partition lengths (ms)")
       .add_flag("csv", &csv, "emit CSV instead of an aligned table");
   if (!opts.parse(argc, argv)) return opts.error() ? 1 : 0;
 
@@ -138,8 +138,9 @@ int main(int argc, char** argv) {
 
   TextTable table({"len_ms", "suspects", "false_kills", "delivered",
                    "undelivered", "heal_to_resume_ms", "peak_frames"});
-  for (const std::string& field : split(length_list, ',')) {
-    const auto len_ms = std::stod(field);
+  for (const double len_ms : lengths) {
+    char field[32];  // "80", "12.5": the row and JSON label
+    std::snprintf(field, sizeof field, "%g", len_ms);
     SweepRun run = run_once(latency_ms, sim::milliseconds(start_ms),
                             sim::milliseconds(len_ms), messages);
     const std::int64_t undelivered = messages - run.delivered;

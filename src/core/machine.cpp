@@ -75,6 +75,15 @@ const net::ReliabilityStack& Machine::install_chain(
   return stack_;
 }
 
+net::Packet Machine::pack_delivery(Pe src, const Envelope& env) {
+  net::Packet packet;
+  packet.src = static_cast<net::NodeId>(src);
+  packet.dst = static_cast<net::NodeId>(env.dst_pe);
+  packet.priority = env.priority;
+  packet.payload = pack_object(env);
+  return packet;
+}
+
 Envelope Machine::unpack_delivery(net::Packet& packet) {
   Envelope env;
   unpack_object(packet.payload, env);

@@ -243,6 +243,11 @@ class Machine {
   /// kill; false if it was already dead. PE 0 is immortal.
   bool mark_killed(Pe pe);
 
+  /// The one wire image of an envelope, for every backend: a packet from
+  /// `src` to env.dst_pe carrying the packed envelope, in bytes drawn
+  /// from this thread's scratch arena.
+  static net::Packet pack_delivery(Pe src, const Envelope& env);
+
   /// The envelope a delivered packet carries. The packed bytes go back to
   /// this thread's scratch arena, so the delivery cycle stays
   /// allocation-free in steady state.

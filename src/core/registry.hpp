@@ -1,14 +1,15 @@
 #pragma once
 // Entry-method registry. Charm++ generates dispatch stubs with a source
-// translator; we achieve the same thing with templates: entry_id<&T::m>()
-// registers (once per process) a type-erased invoker that unmarshals the
-// method's parameter pack from a byte span and calls the member. Ids are
-// assigned by first-use order, so they agree across Sim/Thread backends
-// trivially (one address space) and across ProcessMachine's fork family
-// by construction: every child inherits the pre-fork registrations,
-// entries first used after the fork are gossiped with each wire frame
-// (install()), and the machine cross-checks per-process fingerprints on
-// its control plane to catch first-use-order divergence.
+// translator and registers every entry method at startup; we achieve the
+// same thing with templates. entry_id<&T::m>() odr-uses a class-template
+// static member whose initializer registers a type-erased invoker that
+// unmarshals the method's parameter pack from a byte span and calls the
+// member. Every entry a program can send is therefore registered during
+// static initialization, before main(): ids are a property of the
+// binary, not of which PE first used a method. One address space (Sim,
+// Thread) shares the table trivially; ProcessMachine freezes it before
+// it forks, so every child inherits the identical table and an id means
+// the same method in every process.
 
 #include <atomic>
 #include <cstdint>
@@ -37,37 +38,27 @@ class Registry {
  public:
   static Registry& instance();
 
+  /// Register one entry and return its id. Aborts, naming the method,
+  /// once the registry is frozen.
   EntryId add(EntryInfo info);
   const EntryInfo& entry(EntryId id) const;
   std::size_t size() const;
 
-  /// Install an entry gossiped by a peer process at a specific id.
-  /// Ids are assigned by first-use order, so an entry first used in one
-  /// process (e.g. a host-driven broadcast registered only in the
-  /// parent) may reach a sibling inside a message before that sibling's
-  /// own code path registers it; ProcessMachine ships the post-boot
-  /// registry tail (name + invoker address, identical across a fork
-  /// family) with every frame and installs it here before dispatch.
-  /// An id already present must agree on the invoker — a mismatch is
-  /// SPMD divergence and aborts.
-  void install(std::size_t id, EntryInfo info);
-
-  /// Order-sensitive FNV-1a hash over the names of the first `count`
-  /// entries. ProcessMachine compares fingerprints across its fork
-  /// family to catch entry-id divergence (ids are assigned by first-use
-  /// order, which SPMD execution must keep identical in every process).
-  std::uint64_t fingerprint(std::size_t count) const;
+  /// Refuse every later add(). ProcessMachine freezes the table before
+  /// its first fork: a registration after that point would exist in one
+  /// process only, so it fails where it happens.
+  void freeze();
 
  private:
   // deque: growth never relocates entries, so the reference entry()
-  // hands out stays valid while other threads register (worker threads
-  // and the ProcessMachine control thread read concurrently). Writers
+  // hands out stays valid while another thread registers. Writers
   // serialize on mutex_ and publish the new size with a release store;
-  // entry() reads below published_ without the lock — the delivery hot
-  // path never serializes on a registry mutex.
+  // entry() and size() read published_ without the lock — the delivery
+  // hot path never serializes on a registry mutex.
   mutable std::mutex mutex_;
   std::deque<EntryInfo> entries_;
   std::atomic<std::size_t> published_{0};
+  bool frozen_ = false;
 };
 
 namespace detail {
@@ -99,25 +90,40 @@ constexpr std::string_view method_pretty_name() {
   return __PRETTY_FUNCTION__;
 }
 
+/// Registers `Method` once. `id` is initialized during static
+/// initialization of any binary that instantiates entry_id<Method>(), so
+/// registration happens before main(); get() also serves a caller that
+/// runs during static initialization, ahead of `id`'s initializer.
+template <auto Method>
+struct EntryRegistrar {
+  static EntryId get() {
+    using Traits = MemberFnTraits<decltype(Method)>;
+    using T = typename Traits::Class;
+    static const EntryId registered = Registry::instance().add(EntryInfo{
+        std::string(method_pretty_name<Method>()),
+        +[](Chare& element, std::span<const std::byte> bytes) {
+          auto args = unmarshal_into<typename Traits::ArgsTuple>(bytes);
+          auto& obj = static_cast<T&>(element);
+          std::apply(
+              [&obj](auto&&... unpacked) {
+                (obj.*Method)(std::move(unpacked)...);
+              },
+              args);
+        }});
+    return registered;
+  }
+  static inline const EntryId id = get();
+};
+
 }  // namespace detail
 
-/// Process-wide id for a given entry method; registers it on first use.
+/// Process-wide id for a given entry method, fixed at load time.
 template <auto Method>
 EntryId entry_id() {
-  using Traits = detail::MemberFnTraits<decltype(Method)>;
-  using T = typename Traits::Class;
-  static const EntryId id = Registry::instance().add(EntryInfo{
-      std::string(detail::method_pretty_name<Method>()),
-      +[](Chare& element, std::span<const std::byte> bytes) {
-        auto args = detail::unmarshal_into<typename Traits::ArgsTuple>(bytes);
-        auto& obj = static_cast<T&>(element);
-        std::apply(
-            [&obj](auto&&... unpacked) {
-              (obj.*Method)(std::move(unpacked)...);
-            },
-            args);
-      }});
-  return id;
+  // The odr-use instantiates the registrar's static member, which is
+  // what registers Method before main().
+  static_cast<void>(&detail::EntryRegistrar<Method>::id);
+  return detail::EntryRegistrar<Method>::get();
 }
 
 }  // namespace mdo::core

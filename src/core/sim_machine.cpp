@@ -88,12 +88,7 @@ sim::TimeNs SimMachine::dispatch(Envelope&& env) {
     parking_.park(std::move(env));
     return 0;
   }
-  net::Packet packet;
-  packet.src = static_cast<net::NodeId>(env.src_pe);
-  packet.dst = static_cast<net::NodeId>(env.dst_pe);
-  packet.priority = env.priority;
-  packet.payload = pack_object(env);
-  return fabric_->send(std::move(packet));
+  return fabric_->send(pack_delivery(env.src_pe, env));
 }
 
 void SimMachine::enqueue(Pe pe, Envelope&& env) {
@@ -176,7 +171,7 @@ void SimMachine::finish_execution(Pe pe) {
   for (auto& env : state.pending_outbox) chain_cpu += dispatch(std::move(env));
   state.pending_outbox.clear();
 
-  if (overheads_.charge_chain_cpu && chain_cpu > 0) {
+  if (chain_cpu > 0) {
     state.stats.busy_ns += chain_cpu;
     engine_.schedule_after(chain_cpu, [this, pe] { release(pe); });
     return;

@@ -22,7 +22,6 @@ class SimMachine final : public Machine {
   struct Overheads {
     sim::TimeNs send = sim::microseconds(2.0);   ///< sender CPU per message
     sim::TimeNs recv = sim::microseconds(4.0);   ///< scheduler CPU per delivery
-    bool charge_chain_cpu = true;  ///< device-chain CPU extends PE busy time
   };
 
   SimMachine(net::Topology topo, net::GridLatencyModel::Config link)

@@ -128,12 +128,7 @@ void ThreadMachine::route(Envelope&& env) {
     parking_.park(std::move(env));
     return;
   }
-  net::Packet packet;
-  packet.src = static_cast<net::NodeId>(env.src_pe);
-  packet.dst = static_cast<net::NodeId>(env.dst_pe);
-  packet.priority = env.priority;
-  packet.payload = pack_object(env);
-  fabric_->send(std::move(packet));
+  fabric_->send(pack_delivery(env.src_pe, env));
 }
 
 void ThreadMachine::enqueue(Pe pe, Envelope&& env) {

@@ -1,8 +1,11 @@
 #include "util/options.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+
+#include "util/strings.hpp"
 
 namespace mdo {
 namespace {
@@ -22,6 +25,19 @@ bool parse_double(const std::string& text, double* out) {
   double v = std::strtod(text.c_str(), &end);
   if (errno != 0 || end == text.c_str() || *end != '\0') return false;
   *out = v;
+  return true;
+}
+
+template <class T>
+bool parse_list(const std::string& text, std::vector<T>* out,
+                bool (*parse_one)(const std::string&, T*)) {
+  std::vector<T> values;
+  for (const std::string& field : split(text, ',')) {
+    T value{};
+    if (!parse_one(field, &value)) return false;
+    values.push_back(value);
+  }
+  *out = std::move(values);
   return true;
 }
 
@@ -50,6 +66,28 @@ Options& Options::add_string(const std::string& name, std::string* target,
                              const std::string& help) {
   specs_.push_back({name, help, "string",
                     [target](const std::string& v) { *target = v; return true; },
+                    nullptr});
+  return *this;
+}
+
+Options& Options::add_int_list(const std::string& name,
+                               std::vector<std::int64_t>* target,
+                               const std::string& help) {
+  specs_.push_back({name, help, "int list",
+                    [target](const std::string& v) {
+                      return parse_list(v, target, parse_int);
+                    },
+                    nullptr});
+  return *this;
+}
+
+Options& Options::add_double_list(const std::string& name,
+                                  std::vector<double>* target,
+                                  const std::string& help) {
+  specs_.push_back({name, help, "float list",
+                    [target](const std::string& v) {
+                      return parse_list(v, target, parse_double);
+                    },
                     nullptr});
   return *this;
 }

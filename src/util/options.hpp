@@ -19,6 +19,14 @@ class Options {
                       const std::string& help);
   Options& add_string(const std::string& name, std::string* target,
                       const std::string& help);
+  /// Comma-separated lists, e.g. --latencies=1,2,4. Every field is parsed
+  /// as strictly as add_int/add_double parse one value, so an empty field
+  /// or trailing junk makes the whole option malformed.
+  Options& add_int_list(const std::string& name,
+                        std::vector<std::int64_t>* target,
+                        const std::string& help);
+  Options& add_double_list(const std::string& name, std::vector<double>* target,
+                           const std::string& help);
   Options& add_flag(const std::string& name, bool* target,
                     const std::string& help);
 

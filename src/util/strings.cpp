@@ -1,9 +1,6 @@
 #include "util/strings.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-
-#include "util/assert.hpp"
 
 namespace mdo {
 
@@ -35,19 +32,6 @@ std::string trim(const std::string& text) {
   if (b == std::string::npos) return "";
   std::size_t e = text.find_last_not_of(" \t\r\n");
   return text.substr(b, e - b + 1);
-}
-
-std::vector<std::int64_t> parse_int_list(const std::string& text) {
-  std::vector<std::int64_t> out;
-  for (const auto& part : split(text, ',')) {
-    std::string t = trim(part);
-    if (t.empty()) continue;
-    char* end = nullptr;
-    long long v = std::strtoll(t.c_str(), &end, 10);
-    MDO_CHECK_MSG(end != t.c_str() && *end == '\0', "bad integer in list");
-    out.push_back(v);
-  }
-  return out;
 }
 
 std::string human_bytes(std::uint64_t bytes) {

@@ -11,9 +11,6 @@ std::vector<std::string> split(const std::string& text, char sep);
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
 std::string trim(const std::string& text);
 
-/// Parse a comma-separated integer list, e.g. "2,4,8" -> {2,4,8}.
-std::vector<std::int64_t> parse_int_list(const std::string& text);
-
 /// Human-readable byte count ("1.5 MiB").
 std::string human_bytes(std::uint64_t bytes);
 

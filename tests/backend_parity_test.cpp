@@ -15,6 +15,7 @@
 
 #include "core/array.hpp"
 #include "core/mapping.hpp"
+#include "core/registry.hpp"
 #include "core/runtime.hpp"
 #include "grid/scenario.hpp"
 
@@ -182,6 +183,55 @@ TEST(BackendParity, SentEqualsExecutedPlusDropped) {
     EXPECT_GT(r.msgs_sent, 0u) << backend_name(b);
     EXPECT_EQ(r.msgs_sent, r.msgs_executed + r.msgs_dropped)
         << backend_name(b);
+  }
+}
+
+/// After the machine starts, elements 0 and 1 first use different
+/// entries: 0 self-sends a(); 1 self-sends b(), and b() pings 0.
+struct FirstUse : core::Chare {
+  int a_runs = 0;
+  int ping_runs = 0;
+  void start() {
+    auto self = runtime().proxy<FirstUse>(array_id());
+    if (index().x == 0) {
+      self.send<&FirstUse::a>(index());
+    } else {
+      self.send<&FirstUse::b>(index());
+    }
+  }
+  void a() { ++a_runs; }
+  void b() {
+    runtime().proxy<FirstUse>(array_id()).send<&FirstUse::ping>(Index(0));
+  }
+  void ping() { ++ping_runs; }
+  void pup(Pup& p) override {
+    Chare::pup(p);
+    p | a_runs | ping_runs;
+  }
+};
+
+TEST(BackendParity, EntryIdsAgreeWhateverEachPeUsesFirst) {
+  // Entry ids are fixed at load time, so which PE (or forked process)
+  // uses an entry first cannot change what an id means: PE 1's b() must
+  // reach element 0 as ping(), not as PE 0's a(). Process goes first,
+  // so a() and b() have not run anywhere in this process before its fork.
+  for (grid::Backend b : {grid::Backend::kProcess, grid::Backend::kSim,
+                          grid::Backend::kThread}) {
+    grid::Scenario s = grid::Scenario::artificial(2, sim::milliseconds(20.0));
+    core::MachineOptions opts;
+    opts.emulate_charge = false;
+    Runtime rt(grid::make_machine(s, b, opts));
+    auto proxy = rt.create_array<FirstUse>(
+        "first-use", core::indices_1d(2), core::block_map_1d(2, 2),
+        [](const Index&) { return std::make_unique<FirstUse>(); });
+    // Used on the host first, so only a() and b() are first used in run().
+    core::entry_id<&FirstUse::ping>();
+    proxy.send<&FirstUse::start>(Index(0));
+    proxy.send<&FirstUse::start>(Index(1));
+    rt.run();
+    const FirstUse* zero = proxy.local(Index(0));
+    EXPECT_EQ(zero->a_runs, 1) << backend_name(b);
+    EXPECT_EQ(zero->ping_runs, 1) << backend_name(b);
   }
 }
 

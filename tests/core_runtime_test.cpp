@@ -8,6 +8,7 @@
 
 #include "core/array.hpp"
 #include "core/mapping.hpp"
+#include "core/registry.hpp"
 #include "core/runtime.hpp"
 #include "core/sim_machine.hpp"
 
@@ -308,5 +309,32 @@ TEST_P(RingSweep, TokenCompletesLapsOnAnyPeCount) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PeCounts, RingSweep, ::testing::Values(2, 4, 8, 16));
+
+// -- entry registry ---------------------------------------------------------
+
+struct Unsent : Chare {
+  void never_sent() {}
+};
+
+TEST(EntryRegistry, IdsAreFixedBeforeFirstUse) {
+  // Registration happens at load time: asking for the id of a method no
+  // code has sent yet finds it already registered and adds nothing.
+  const std::size_t before = core::Registry::instance().size();
+  const core::EntryId id = core::entry_id<&Unsent::never_sent>();
+  EXPECT_LT(static_cast<std::size_t>(id), before);
+  EXPECT_EQ(core::Registry::instance().size(), before);
+  EXPECT_EQ(core::entry_id<&Unsent::never_sent>(), id);
+}
+
+TEST(EntryRegistry, AddAfterFreezeAbortsNamingTheMethod) {
+  EXPECT_DEATH(
+      {
+        auto& reg = core::Registry::instance();
+        reg.freeze();
+        reg.add(core::EntryInfo{"Unsent::late_entry",
+                                +[](Chare&, std::span<const std::byte>) {}});
+      },
+      "registered after the registry froze: Unsent::late_entry");
+}
 
 }  // namespace

@@ -50,11 +50,12 @@ core::MachineOptions wall_clock_options() {
   return cfg;
 }
 
-/// Runs `steps` stencil steps on `backend`; returns the final mesh and
-/// the mesh-wide executed-message counter.
+/// Runs `steps` stencil steps on `backend`; returns the final mesh, the
+/// mesh-wide executed-message counter and the fabric counters.
 struct StencilOutcome {
   std::vector<double> mesh;
   std::uint64_t msgs_executed = 0;
+  net::Fabric::Stats fabric;
 };
 
 StencilOutcome run_stencil(const grid::Scenario& s, grid::Backend backend,
@@ -66,6 +67,7 @@ StencilOutcome run_stencil(const grid::Scenario& s, grid::Backend backend,
   out.mesh = app.gather_mesh();
   out.msgs_executed =
       rt.machine().metrics().snapshot().counter("rt.sched.msgs_executed");
+  out.fabric = rt.machine().fabric_stats();
   return out;
 }
 
@@ -74,7 +76,8 @@ TEST(ProcessMachine, StencilAcrossForkedPesMatchesSimBackend) {
   // processes over UDS computes the same mesh as the sequential
   // reference AND executes the same number of messages as the
   // virtual-time simulator — the socket fabric neither loses, splits,
-  // nor duplicates application traffic.
+  // nor duplicates application traffic. Its packets carry the same
+  // envelope wire image as the simulator's, byte for byte.
   grid::Scenario s = grid::Scenario::artificial(4, sim::milliseconds(1.0));
   const int kSteps = 4;
   StencilOutcome proc = run_stencil(s, grid::Backend::kProcess, kSteps);
@@ -87,6 +90,8 @@ TEST(ProcessMachine, StencilAcrossForkedPesMatchesSimBackend) {
     ASSERT_NEAR(proc.mesh[i], ref[i], 1e-12) << "cell " << i;
   }
   EXPECT_EQ(proc.msgs_executed, sim.msgs_executed);
+  EXPECT_EQ(proc.fabric.packets_sent, sim.fabric.packets_sent);
+  EXPECT_EQ(proc.fabric.bytes_sent, sim.fabric.bytes_sent);
 }
 
 TEST(ProcessMachine, ExactlyOnceDeliveryUnderWanLoss) {

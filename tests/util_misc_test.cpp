@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "util/options.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -50,12 +53,6 @@ TEST(Strings, SplitJoinTrim) {
   EXPECT_EQ(mdo::trim("   "), "");
 }
 
-TEST(Strings, ParseIntList) {
-  EXPECT_EQ(mdo::parse_int_list("2,4, 8"),
-            (std::vector<std::int64_t>{2, 4, 8}));
-  EXPECT_TRUE(mdo::parse_int_list("").empty());
-}
-
 TEST(Strings, HumanBytes) {
   EXPECT_EQ(mdo::human_bytes(512), "512 B");
   EXPECT_EQ(mdo::human_bytes(1536), "1.5 KiB");
@@ -100,6 +97,43 @@ TEST(OptionsTest, RejectsBadInt) {
   const char* argv[] = {"prog", "--n=abc"};
   EXPECT_FALSE(opts.parse(2, const_cast<char**>(argv)));
   EXPECT_TRUE(opts.error());
+}
+
+TEST(OptionsTest, ParsesLists) {
+  std::vector<std::int64_t> counts = {1};
+  std::vector<double> rates = {1.0};
+  Options opts("test");
+  opts.add_int_list("counts", &counts, "counts")
+      .add_double_list("rates", &rates, "rates");
+  const char* argv[] = {"prog", "--counts=2,4,8", "--rates", "0,0.5,1e1"};
+  ASSERT_TRUE(opts.parse(4, const_cast<char**>(argv)));
+  EXPECT_EQ(counts, (std::vector<std::int64_t>{2, 4, 8}));
+  EXPECT_EQ(rates, (std::vector<double>{0.0, 0.5, 10.0}));
+}
+
+TEST(OptionsTest, RejectsMalformedListFields) {
+  // A bad field rejects the whole option and leaves the default alone:
+  // no field is skipped, truncated or read as a prefix.
+  for (const char* bad : {"abc", "", "1,,2", "1,", ",1", "1.5abc", "2,4x"}) {
+    std::vector<double> rates = {7.0};
+    Options opts("test");
+    opts.add_double_list("losses", &rates, "rates");
+    const std::string arg = std::string("--losses=") + bad;
+    const char* argv[] = {"prog", arg.c_str()};
+    EXPECT_FALSE(opts.parse(2, const_cast<char**>(argv))) << bad;
+    EXPECT_TRUE(opts.error()) << bad;
+    EXPECT_EQ(rates, std::vector<double>{7.0}) << bad;
+  }
+  for (const char* bad : {"abc", "", "2,,8", "2,4x", "1.5"}) {
+    std::vector<std::int64_t> counts = {7};
+    Options opts("test");
+    opts.add_int_list("clusters", &counts, "counts");
+    const std::string arg = std::string("--clusters=") + bad;
+    const char* argv[] = {"prog", arg.c_str()};
+    EXPECT_FALSE(opts.parse(2, const_cast<char**>(argv))) << bad;
+    EXPECT_TRUE(opts.error()) << bad;
+    EXPECT_EQ(counts, std::vector<std::int64_t>{7}) << bad;
+  }
 }
 
 }  // namespace
