@@ -4,8 +4,18 @@
 // application still completes exactly-once in-order; this harness
 // measures what that repair costs (ms/step overhead vs the lossless run)
 // and reports the reliability-layer counters for each loss rate.
+//
+// Every gated column is a deterministic virtual quantity, so the sweep
+// runs as an exact perf gate (`ctest -L perf`) against bench/baselines/,
+// one row per loss rate and metric (`0.5pct/step_ns`, ...). Zero-valued
+// counters are stored +1: perf_gate forces ratio 1.0 on a zero baseline,
+// which would mask a regression from 0. It also checks in-process that
+// no loss rate suppresses more duplicates than the wire dropped frames:
+// a selective-repeat sender resends only what is missing, so a surplus
+// means frames that had arrived were sent again.
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -36,6 +46,14 @@ LossyRun run_lossy_stencil(const grid::Scenario& scenario,
   return run;
 }
 
+void record(bench::JsonRecorder& rec, const std::string& loss_field,
+            const char* metric, double value) {
+  obs::Json row = obs::Json::object();
+  row.set("name", loss_field + "pct/" + metric);
+  row.set("real_ns", value);
+  rec.add_run(std::move(row));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -48,7 +66,6 @@ int main(int argc, char** argv) {
   std::int64_t seed = 1;
   std::vector<double> losses = {0, 0.5, 1, 2, 5};
   bool csv = false;
-  bool json = false;
 
   Options opts(
       "lossy_wan_sweep — stencil ms/step and retransmission cost vs "
@@ -62,8 +79,7 @@ int main(int argc, char** argv) {
       .add_int("seed", &seed, "fault-injection RNG seed")
       .add_double_list("losses", &losses,
                        "comma-separated loss rates in percent")
-      .add_flag("csv", &csv, "emit CSV instead of aligned tables")
-      .add_flag("json", &json, "also write BENCH_lossy_wan_sweep.json");
+      .add_flag("csv", &csv, "emit CSV instead of aligned tables");
   if (!opts.parse(argc, argv)) return opts.error() ? 1 : 0;
 
   apps::stencil::Params params;
@@ -91,6 +107,7 @@ int main(int argc, char** argv) {
       .config("seed", seed);
 
   double baseline = 0.0;
+  bool surplus_duplicates = false;
   for (const double loss_pct : losses) {
     auto scenario =
         grid::Scenario::artificial(
@@ -104,23 +121,38 @@ int main(int argc, char** argv) {
     const double overhead =
         baseline > 0.0 ? 100.0 * (run.ms_per_step / baseline - 1.0) : 0.0;
     const obs::Snapshot& m = run.metrics;
+    const std::uint64_t retransmits = m.counter("net.reliable.retransmits");
+    const std::uint64_t dropped = m.counter("net.fault.dropped");
+    const std::uint64_t duplicates =
+        m.counter("net.reliable.duplicates_suppressed");
     table.add_row(
         {fmt_double(loss_pct, 1), fmt_double(run.ms_per_step, 3),
          fmt_double(overhead, 1),
          std::to_string(m.counter("net.reliable.data_sent")),
-         std::to_string(m.counter("net.reliable.retransmits")),
-         std::to_string(m.counter("net.fault.dropped")),
-         std::to_string(m.counter("net.reliable.duplicates_suppressed")),
+         std::to_string(retransmits), std::to_string(dropped),
+         std::to_string(duplicates),
          fmt_double(m.gauge("net.reliable.ack_rtt_ns") / 1e6, 3)});
-    obs::Json record =
-        bench::JsonRecorder::run_record(run.ms_per_step, run.metrics);
-    record.set("loss_pct", loss_pct);
-    recorder.add_run(std::move(record));
+    char field[32];  // "0.5", "2": the JSON label
+    std::snprintf(field, sizeof field, "%g", loss_pct);
+    record(recorder, field, "step_ns", run.ms_per_step * 1e6);
+    record(recorder, field, "retransmits_plus1",
+           static_cast<double>(retransmits + 1));
+    record(recorder, field, "duplicates_plus1",
+           static_cast<double>(duplicates + 1));
+    if (duplicates > dropped) {
+      std::fprintf(stderr,
+                   "loss %s%%: %llu duplicates suppressed exceed %llu frames "
+                   "dropped\n",
+                   field, static_cast<unsigned long long>(duplicates),
+                   static_cast<unsigned long long>(dropped));
+      surplus_duplicates = true;
+    }
   }
   std::fputs((csv ? table.render_csv() : table.render()).c_str(), stdout);
-  if (json && !recorder.write()) {
+  if (!recorder.write(".")) {
     std::fprintf(stderr, "failed to write %s\n", recorder.path(".").c_str());
     return 1;
   }
-  return 0;
+  std::printf("\nwrote %s\n", recorder.path(".").c_str());
+  return surplus_duplicates ? 1 : 0;
 }

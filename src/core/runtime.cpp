@@ -520,7 +520,8 @@ void Runtime::migrate(ArrayId array_id, const Index& index, Pe to) {
   // Pack, destroy, reconstruct, unpack: the full migration code path,
   // executed in-process because migration happens at quiescent points.
   Chare* old_elem = arr.find(index);
-  Bytes state;
+  ScratchArena& arena = ScratchArena::local();
+  Bytes state = arena.take();
   {
     Pup packer = Pup::packer(state);
     old_elem->pup(packer);
@@ -539,6 +540,7 @@ void Runtime::migrate(ArrayId array_id, const Index& index, Pe to) {
   ++migrations_;
   migration_bytes_ += state.size();
   r.subtree_dirty = true;
+  arena.give(std::move(state));
 }
 
 void Runtime::rebuild_tree(const std::vector<bool>& alive) {

@@ -1,5 +1,7 @@
 #include "net/devices.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "util/assert.hpp"
@@ -63,6 +65,27 @@ void DelayDevice::on_send(Packet& packet, SendContext& ctx) {
 namespace {
 constexpr std::byte kStored{0};
 constexpr std::byte kRle{1};
+
+/// Number of leading bytes of `bytes` equal to `value`, compared eight at
+/// a time: the first differing byte is the lowest set byte of the XOR
+/// against `value` broadcast, in memory order.
+std::size_t same_prefix(std::span<const std::byte> bytes, std::byte value) {
+  const std::uint64_t pattern =
+      0x0101010101010101ULL * static_cast<std::uint8_t>(value);
+  std::size_t k = 0;
+  for (; k + sizeof(pattern) <= bytes.size(); k += sizeof(pattern)) {
+    std::uint64_t word;
+    std::memcpy(&word, bytes.data() + k, sizeof(word));
+    if (const std::uint64_t diff = word ^ pattern; diff != 0) {
+      const int bit = std::endian::native == std::endian::little
+                          ? std::countr_zero(diff)
+                          : std::countl_zero(diff);
+      return k + static_cast<std::size_t>(bit) / 8;
+    }
+  }
+  while (k < bytes.size() && bytes[k] == value) ++k;
+  return k;
+}
 }  // namespace
 
 CompressionDevice::CompressionDevice(double cpu_ns_per_byte)
@@ -74,9 +97,9 @@ void CompressionDevice::rle_encode_into(std::span<const std::byte> in,
   out.reserve(in.size() / 2 + 16);
   std::size_t i = 0;
   while (i < in.size()) {
-    std::byte value = in[i];
-    std::size_t run = 1;
-    while (i + run < in.size() && in[i + run] == value && run < 255) ++run;
+    const std::byte value = in[i];
+    const std::size_t limit = std::min<std::size_t>(in.size() - i, 255);
+    const std::size_t run = 1 + same_prefix(in.subspan(i + 1, limit - 1), value);
     out.push_back(static_cast<std::byte>(run));
     out.push_back(value);
     i += run;
@@ -218,12 +241,23 @@ std::optional<Packet> ChecksumDevice::receive_transform(Packet packet) {
 
 void CryptoDevice::apply_keystream(Packet& packet) const {
   SplitMix64 stream(key_ ^ (packet.id * 0x9e3779b97f4a7c15ULL + 1));
+  std::byte* data = packet.payload.data();
+  const std::size_t size = packet.payload.size();
   std::size_t i = 0;
-  while (i < packet.payload.size()) {
+  // Byte b of each eight-byte block takes bits 8b..8b+7 of the next
+  // keystream word, which on a little-endian host is one 64-bit XOR.
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; i + sizeof(std::uint64_t) <= size; i += sizeof(std::uint64_t)) {
+      std::uint64_t block;
+      std::memcpy(&block, data + i, sizeof(block));
+      block ^= stream.next_u64();
+      std::memcpy(data + i, &block, sizeof(block));
+    }
+  }
+  while (i < size) {
     std::uint64_t word = stream.next_u64();
-    for (std::size_t b = 0; b < sizeof(word) && i < packet.payload.size();
-         ++b, ++i) {
-      packet.payload[i] ^= static_cast<std::byte>((word >> (8 * b)) & 0xff);
+    for (std::size_t b = 0; b < sizeof(word) && i < size; ++b, ++i) {
+      data[i] ^= static_cast<std::byte>((word >> (8 * b)) & 0xff);
     }
   }
 }

@@ -16,6 +16,7 @@ void register_metrics(obs::MetricRegistry& reg, const ReliableDevice& dev) {
     const auto& c = dev.counters();
     sink.counter("data_sent", c.data_sent);
     sink.counter("retransmits", c.retransmits);
+    sink.counter("fast_retransmits", c.fast_retransmits);
     sink.counter("acks_sent", c.acks_sent);
     sink.counter("acks_received", c.acks_received);
     sink.counter("delivered", c.delivered);

@@ -1,6 +1,7 @@
 #include "net/reliable.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <memory>
 
@@ -11,6 +12,11 @@ namespace {
 
 constexpr std::uint8_t kData = 0;
 constexpr std::uint8_t kAck = 1;
+/// Frames past the cumulative point one ACK can report held.
+constexpr std::uint32_t kSackBits = 64;
+/// Later-transmitted frames acked before a frame is resent without
+/// waiting for its timeout (TCP's duplicate threshold).
+constexpr std::uint32_t kDupThreshold = 3;
 
 struct WireHeader {
   std::uint32_t seq = 0;  ///< DATA: sequence number; ACK: cumulative ack
@@ -37,6 +43,17 @@ bool deframe(Packet& packet, WireHeader& hdr) {
   return true;
 }
 
+/// Bit i set <=> the receiver holds frame expected + 1 + i.
+std::uint64_t sack_bitmap(const std::map<std::uint32_t, Packet>& buffered,
+                          std::uint32_t expected) {
+  std::uint64_t bits = 0;
+  for (auto it = buffered.begin();
+       it != buffered.end() && it->first - expected <= kSackBits; ++it) {
+    bits |= std::uint64_t{1} << (it->first - expected - 1);
+  }
+  return bits;
+}
+
 }  // namespace
 
 ReliableDevice::ReliableDevice(ReliableConfig config, const Topology* topo)
@@ -59,6 +76,17 @@ std::size_t ReliableDevice::buffered_packets() const {
   std::size_t total = 0;
   for (const auto& [key, flow] : receivers_) total += flow.buffered.size();
   return total;
+}
+
+std::vector<ReliableDevice::FrameTimer> ReliableDevice::flow_frames(
+    NodeId src, NodeId dst) const {
+  std::vector<FrameTimer> out;
+  auto it = senders_.find({src, dst});
+  if (it == senders_.end()) return out;
+  for (const auto& [seq, pending] : it->second.unacked) {
+    out.push_back({seq, pending.rto, pending.deadline(), pending.sacked});
+  }
+  return out;
 }
 
 ReliableDevice::Quarantine* ReliableDevice::quarantined(NodeId peer) {
@@ -99,12 +127,13 @@ bool ReliableDevice::prepare_send(Packet& packet) {
                 "ReliableDevice needs a fabric host (timers, injection)");
   FlowKey key{packet.src, packet.dst};
   SenderFlow& flow = senders_[key];
-  if (flow.rto == 0) flow.rto = config_.rto_initial;
   std::uint32_t seq = flow.next_seq++;
   frame(packet, kData, seq);
   Pending pending;
   pending.frame = packet;  // framed copy, pre-checksum/fault/delay
   pending.first_sent = host_->host_now();
+  pending.last_sent = pending.first_sent;
+  pending.rto = config_.rto_initial;
   Quarantine* q = quarantined(packet.dst);
   if (q != nullptr) {
     // The peer is suspect: sequence the frame but hold it off the wire.
@@ -120,9 +149,12 @@ bool ReliableDevice::prepare_send(Packet& packet) {
     maybe_trip_congestion(packet.dst, *q);
     return false;
   }
+  pending.tx_order = flow.next_tx++;
+  pending.first_tx_order = pending.tx_order;
+  const sim::TimeNs deadline = pending.deadline();
   flow.unacked.emplace(seq, std::move(pending));
   ++counters_.data_sent;
-  arm_timer(key);
+  arm_timer(key, flow, deadline);
   return true;
 }
 
@@ -136,11 +168,34 @@ void ReliableDevice::send_transform(std::vector<Packet>& packets,
   packets = std::move(out);
 }
 
-void ReliableDevice::arm_timer(const FlowKey& key) {
-  SenderFlow& flow = senders_[key];
-  if (flow.timer_armed) return;
-  flow.timer_armed = true;
-  host_->host_schedule(flow.rto, [this, key] { on_timeout(key); });
+void ReliableDevice::arm_timer(const FlowKey& key, SenderFlow& flow,
+                               sim::TimeNs deadline) {
+  // Lazy: a live timer due no later than `deadline` fires first, finds
+  // nothing (or less) due, and re-arms for whatever is left.
+  if (flow.timer_at != 0 && flow.timer_at <= deadline) return;
+  flow.timer_at = deadline;
+  const sim::TimeNs dt = std::max<sim::TimeNs>(0, deadline - host_->host_now());
+  host_->host_schedule(dt, [this, key, deadline] { on_timeout(key, deadline); });
+}
+
+void ReliableDevice::rearm_timer(const FlowKey& key, SenderFlow& flow) {
+  sim::TimeNs earliest = 0;
+  for (const auto& [seq, pending] : flow.unacked) {
+    if (!pending.resendable()) continue;
+    if (earliest == 0 || pending.deadline() < earliest) {
+      earliest = pending.deadline();
+    }
+  }
+  if (earliest != 0) arm_timer(key, flow, earliest);
+}
+
+void ReliableDevice::transmit(SenderFlow& flow, Pending& pending,
+                              sim::TimeNs now) {
+  pending.last_sent = now;
+  pending.tx_order = flow.next_tx++;
+  pending.acked_after = 0;
+  Packet copy = pending.frame;
+  host_->inject_send(this, std::move(copy));
 }
 
 void ReliableDevice::clear_flow(const FlowKey& key, SenderFlow& flow) {
@@ -152,16 +207,18 @@ void ReliableDevice::clear_flow(const FlowKey& key, SenderFlow& flow) {
     }
   }
   flow.unacked.clear();
-  flow.rto = config_.rto_initial;
   flow.stall_start = 0;
 }
 
-void ReliableDevice::on_timeout(const FlowKey& key) {
+void ReliableDevice::on_timeout(const FlowKey& key, sim::TimeNs fire_at) {
   SenderFlow& flow = senders_[key];
-  flow.timer_armed = false;
+  // A later arm for an earlier deadline superseded this expiry. Handling
+  // a live expiry moves timer_at off fire_at (every deadline left is
+  // later), so a second timer due at the same instant reads as stale.
+  if (fire_at != flow.timer_at) return;
+  flow.timer_at = 0;
   if (flow.unacked.empty()) {
     // Everything acked since the timer was set; quiesce this flow.
-    flow.rto = config_.rto_initial;
     flow.stall_start = 0;
     return;
   }
@@ -179,41 +236,50 @@ void ReliableDevice::on_timeout(const FlowKey& key) {
     return;
   }
   const sim::TimeNs now = host_->host_now();
-  if (flow.stall_start == 0) {
-    flow.stall_start = now;
-  } else if (now - flow.stall_start > config_.give_up_budget) {
-    // Give up: no ack progress across give_up_budget of fabric time.
-    // Abandon the in-flight frames (at-most-once from here on) and
-    // surface the unreachable peer — the failure detector's second,
-    // retransmission-based signal.
-    const NodeId self = key.first;
-    const NodeId peer = key.second;
-    clear_flow(key, flow);
-    ++counters_.flows_abandoned;
-    if (on_peer_unreachable_) on_peer_unreachable_(peer, self);
-    return;
+  const bool overdue = std::any_of(
+      flow.unacked.begin(), flow.unacked.end(), [now](const auto& entry) {
+        return entry.second.resendable() && entry.second.deadline() <= now;
+      });
+  if (overdue) {
+    if (flow.stall_start == 0) {
+      flow.stall_start = now;
+    } else if (now - flow.stall_start > config_.give_up_budget) {
+      // Give up: no ack progress across give_up_budget of fabric time.
+      // Abandon the in-flight frames (at-most-once from here on) and
+      // surface the unreachable peer — the failure detector's second,
+      // retransmission-based signal.
+      const NodeId self = key.first;
+      const NodeId peer = key.second;
+      clear_flow(key, flow);
+      ++counters_.flows_abandoned;
+      if (on_peer_unreachable_) on_peer_unreachable_(peer, self);
+      return;
+    }
+    // Resend only the frames whose own deadline passed; each backs off
+    // alone, so one loss never stretches its neighbours' timeouts.
+    for (auto& [seq, pending] : flow.unacked) {
+      if (!pending.resendable() || pending.deadline() > now) continue;
+      pending.retransmitted = true;
+      ++counters_.retransmits;
+      pending.rto = std::min(
+          static_cast<sim::TimeNs>(static_cast<double>(pending.rto) *
+                                   config_.rto_backoff),
+          config_.rto_max);
+      transmit(flow, pending, now);
+    }
   }
-  for (auto& [seq, pending] : flow.unacked) {
-    pending.retransmitted = true;
-    ++counters_.retransmits;
-    Packet copy = pending.frame;
-    host_->inject_send(this, std::move(copy));
-  }
-  flow.rto = std::min(
-      static_cast<sim::TimeNs>(static_cast<double>(flow.rto) *
-                               config_.rto_backoff),
-      config_.rto_max);
-  arm_timer(key);
+  rearm_timer(key, flow);
 }
 
 void ReliableDevice::resume_peer(NodeId peer) {
   const sim::TimeNs now = host_->host_now();
   for (auto& [key, flow] : senders_) {
     if (key.second != peer || flow.unacked.empty()) continue;
-    // Replay everything outstanding in sequence order: frames that were
-    // on the wire before the quarantine go out as retransmissions
+    // Replay everything the receiver lacks in sequence order: frames that
+    // were on the wire before the quarantine go out as retransmissions
     // (ambiguous for RTT), held frames as clean first transmissions.
     for (auto& [seq, pending] : flow.unacked) {
+      if (pending.sacked) continue;
       if (pending.on_wire) {
         pending.retransmitted = true;
         ++counters_.retransmits;
@@ -221,12 +287,12 @@ void ReliableDevice::resume_peer(NodeId peer) {
         pending.on_wire = true;
         pending.first_sent = now;
       }
-      Packet copy = pending.frame;
-      host_->inject_send(this, std::move(copy));
+      pending.rto = config_.rto_initial;
+      transmit(flow, pending, now);
+      if (!pending.retransmitted) pending.first_tx_order = pending.tx_order;
     }
-    flow.rto = config_.rto_initial;
     flow.stall_start = 0;
-    arm_timer(key);
+    rearm_timer(key, flow);
   }
 }
 
@@ -272,7 +338,6 @@ void ReliableDevice::abandon_peer(NodeId peer) {
   for (auto& [key, flow] : senders_) {
     if (key.second != peer) continue;
     flow.unacked.clear();
-    flow.rto = config_.rto_initial;
     flow.stall_start = 0;
   }
   ++counters_.peers_abandoned;
@@ -291,50 +356,92 @@ std::optional<Packet> ReliableDevice::receive_transform(Packet packet) {
     return std::nullopt;
   }
   if (hdr.type == kAck) {
-    handle_ack(packet, hdr.seq);
+    std::uint64_t sack = 0;
+    if (packet.payload.size() == sizeof(sack)) {
+      std::memcpy(&sack, packet.payload.data(), sizeof(sack));
+    } else if (!packet.payload.empty()) {
+      ++counters_.malformed_dropped;
+      return std::nullopt;
+    }
+    handle_ack(packet, hdr.seq, sack);
     return std::nullopt;
   }
   return handle_data(std::move(packet), hdr.seq);
 }
 
-void ReliableDevice::handle_ack(const Packet& packet, std::uint32_t ack_seq) {
+void ReliableDevice::sample_rtt(const Pending& pending, sim::TimeNs now,
+                                bool wan) {
+  const auto rtt = static_cast<double>(now - pending.first_sent);
+  // Karn's rule: retransmitted frames are ambiguous (the ack may be for
+  // either copy), so the general RTT stat skips them. The WAN stat
+  // deliberately keeps them, measured from the FIRST transmission: when
+  // the link degrades past the RTO every in-flight frame gets
+  // retransmitted, and a Karn-strict estimator goes blind at exactly the
+  // moment the adaptive controller needs to see the new RTT. The first
+  // ack to cover a seq belongs to the earliest surviving copy, so
+  // first_sent is exact on a slow-but-clean link and only overestimates
+  // (by the backoff) when the original was truly lost — an error in the
+  // safe (window-widening) direction, absorbed by the controller's EWMA
+  // and hysteresis. No RTO feedback risk either way: frame RTOs here are
+  // config-driven, not derived from this stat.
+  if (!pending.retransmitted) ack_rtt_ns_.add(rtt);
+  if (wan) wan_ack_rtt_ns_.add(rtt);
+}
+
+void ReliableDevice::handle_ack(const Packet& packet, std::uint32_t cumulative,
+                                std::uint64_t sack) {
   ++counters_.acks_received;
   // The ack travels the reverse direction of its data flow.
   FlowKey key{packet.dst, packet.src};
   SenderFlow& flow = senders_[key];
   Quarantine* q = quarantined(key.second);
-  bool progress = false;
   const sim::TimeNs now = host_->host_now();
   const bool wan = topo_ != nullptr &&
                    topo_->cluster_of(key.first) != topo_->cluster_of(key.second);
+  newly_acked_.clear();
   for (auto it = flow.unacked.begin();
-       it != flow.unacked.end() && it->first < ack_seq;) {
-    const auto rtt = static_cast<double>(now - it->second.first_sent);
-    // Karn's rule: retransmitted frames are ambiguous (the ack may be
-    // for either copy), so the general RTT stat skips them. The WAN stat
-    // deliberately keeps them, measured from the FIRST transmission:
-    // when the link degrades past the RTO every in-flight frame gets
-    // retransmitted, and a Karn-strict estimator goes blind at exactly
-    // the moment the adaptive controller needs to see the new RTT. The
-    // first ack to clear a seq belongs to the earliest surviving copy,
-    // so first_sent is exact on a slow-but-clean link and only
-    // overestimates (by the backoff) when the original was truly lost —
-    // an error in the safe (window-widening) direction, absorbed by the
-    // controller's EWMA and hysteresis. No RTO feedback risk either
-    // way: flow RTOs here are config-driven, not derived from this stat.
-    if (!it->second.retransmitted) ack_rtt_ns_.add(rtt);
-    if (wan) wan_ack_rtt_ns_.add(rtt);
+       it != flow.unacked.end() && it->first < cumulative;) {
+    if (!it->second.sacked) {
+      sample_rtt(it->second, now, wan);
+      newly_acked_.push_back(it->second.first_tx_order);
+    }
     if (q != nullptr) {
       if (q->frames > 0) --q->frames;
       q->bytes -= std::min(q->bytes, it->second.frame.payload.size());
     }
     it = flow.unacked.erase(it);
-    progress = true;
   }
-  if (progress) {
-    flow.rto = config_.rto_initial;
-    flow.stall_start = 0;
+  for (std::uint64_t bits = sack; bits != 0; bits &= bits - 1) {
+    const auto seq = static_cast<std::uint32_t>(
+        cumulative + 1 + static_cast<std::uint32_t>(std::countr_zero(bits)));
+    auto it = flow.unacked.find(seq);
+    if (it == flow.unacked.end() || it->second.sacked) continue;
+    it->second.sacked = true;
+    sample_rtt(it->second, now, wan);
+    newly_acked_.push_back(it->second.first_tx_order);
   }
+  if (newly_acked_.empty()) return;
+  flow.stall_start = 0;
+  // A suspect peer gets nothing resent; resume_peer replays what it lacks.
+  if (q != nullptr) return;
+  // Fast retransmit: a frame that kDupThreshold later transmissions have
+  // overtaken is lost, not late. Credit each still-missing frame with the
+  // newly acked frames first sent after its own last transmission.
+  std::sort(newly_acked_.begin(), newly_acked_.end());
+  for (auto& [seq, pending] : flow.unacked) {
+    if (!pending.resendable()) continue;
+    pending.acked_after += static_cast<std::uint32_t>(
+        newly_acked_.end() - std::upper_bound(newly_acked_.begin(),
+                                              newly_acked_.end(),
+                                              pending.tx_order));
+    if (pending.acked_after < kDupThreshold) continue;
+    pending.retransmitted = true;
+    ++counters_.retransmits;
+    ++counters_.fast_retransmits;
+    transmit(flow, pending, now);
+  }
+  // The resent frames' deadlines only moved later, so the live timer
+  // (due no later than the old earliest deadline) still covers them.
 }
 
 std::optional<Packet> ReliableDevice::handle_data(Packet&& packet,
@@ -365,17 +472,20 @@ std::optional<Packet> ReliableDevice::handle_data(Packet&& packet,
     flow.buffered.emplace(seq, std::move(packet));
     ++counters_.out_of_order_buffered;
   }
-  send_ack(data_src, data_dst, flow.expected);
+  send_ack(data_src, data_dst, flow);
   return std::nullopt;
 }
 
 void ReliableDevice::send_ack(NodeId data_src, NodeId data_dst,
-                              std::uint32_t cumulative) {
+                              const ReceiverFlow& flow) {
   Packet ack;
   ack.src = data_dst;  // acks travel receiver -> sender
   ack.dst = data_src;
   ack.inject_time = host_->host_now();
-  frame(ack, kAck, cumulative);
+  const std::uint64_t sack = sack_bitmap(flow.buffered, flow.expected);
+  ack.payload.resize(sizeof(sack));
+  std::memcpy(ack.payload.data(), &sack, sizeof(sack));
+  frame(ack, kAck, flow.expected);
   ++counters_.acks_sent;
   host_->inject_send(this, std::move(ack));
 }

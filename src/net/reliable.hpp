@@ -2,16 +2,51 @@
 // Reliability filter device: exactly-once, in-order delivery over a lossy
 // wire. Every (src, dst) ordered node pair is an independent flow with
 // its own sequence numbers. The send path frames each outgoing packet
-// with a DATA header and keeps a copy until it is cumulatively acked;
-// the receive path suppresses duplicates, buffers out-of-order arrivals,
-// releases contiguous runs upward through the chain, and answers every
-// DATA frame with a cumulative ACK. Losses are repaired by timeout-based
-// retransmission with exponential backoff (Karn-style RTT sampling: only
-// never-retransmitted frames feed the RTT estimate).
+// with a DATA header and keeps a copy until it is acked; the receive
+// path suppresses duplicates, buffers out-of-order arrivals, releases
+// contiguous runs upward through the chain, and answers every DATA frame
+// with an ACK. Losses are repaired by selective repeat: only the frames
+// that are actually missing are resent.
+//
+// Wire format (host byte order; the header is padded to 8 bytes):
+//
+//   DATA  [seq:u32][type=0:u8][pad:3][payload...]
+//   ACK   [cum:u32][type=1:u8][pad:3][sack:u64]
+//
+// `cum` is the cumulative point, the next sequence number the receiver
+// needs; bit i of `sack` says the receiver holds frame cum + 1 + i
+// (kSackBits = 64 frames past the hole are visible). An ACK with an empty
+// payload is a pure cumulative ACK; any other payload length is
+// malformed and dropped without touching flow state.
+//
+// Sender state is per frame, not per flow:
+//
+// * Deadlines: a frame is resent on timeout only once it has gone
+//   unacked for its own RTO since its own last transmission, and only
+//   that frame's RTO backs off (rto_backoff, capped at rto_max); one loss
+//   never stretches the timeouts of the frames around it. Each flow keeps
+//   a single fabric timer, armed at the earliest deadline and re-armed
+//   lazily when it fires: host_schedule cannot cancel, so a timer
+//   superseded by an earlier re-arm is recognized as stale and ignored.
+// * SACK: a frame the receiver reports held is never resent, by timeout
+//   or otherwise, and leaves the timer's reckoning.
+// * Fast retransmit: a frame is resent at once when kDupThreshold = 3
+//   frames transmitted after it have been acked (TCP's duplicate
+//   threshold). Link drift and fault jitter reorder frames, so a lower
+//   threshold would resend frames that are merely late. A frame that was
+//   itself resent counts from its first transmission (Karn's ambiguity:
+//   its ack may be for the first copy), so the late acks of frames
+//   resent on a spurious timeout do not condemn the frames sent between
+//   their two copies.
+//
+// RTT samples (Karn's rule: only never-retransmitted frames feed
+// ack_rtt_ns) are taken at the first ACK, cumulative or selective, that
+// covers a frame, so a frame held behind a hole still measures the link.
 //
 // Two escape hatches bound the retransmission loop:
 //
-// * Give-up is *time-based*: a flow that makes no ack progress for
+// * Give-up is *time-based*: a flow that makes no ack progress (no
+//   frame newly acked, cumulatively or selectively) for
 //   `give_up_budget` of fabric time is abandoned and the
 //   peer-unreachable callback fires. A raw retry count would make the
 //   wall-clock give-up scale with the link RTT (64 backed-off timeouts
@@ -27,10 +62,11 @@
 //   bounded per peer by quarantine_max_frames/bytes. Hitting the bound
 //   trips the congestion callback, which the machines translate into
 //   backpressure (senders park envelopes by priority) rather than
-//   unbounded memory growth. On demotion back to alive the held and
-//   unacked frames replay in sequence order, so delivery stays
-//   exactly-once and seq/ack-exact across the heal; on confirmed death
-//   the flows are dropped quietly (recovery owns the peer now).
+//   unbounded memory growth. On demotion back to alive the held frames
+//   and the unacked ones the receiver has not SACKed replay in sequence
+//   order with fresh deadlines, so delivery stays exactly-once and
+//   seq/ack-exact across the heal; on confirmed death the flows are
+//   dropped quietly (recovery owns the peer now).
 //
 // Chain placement (send order, wire last):
 //   [compress/crypto/stripe ...] -> reliable -> checksum(drop) -> fault -> delay
@@ -44,6 +80,7 @@
 #include <map>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "net/chain.hpp"
 #include "net/coalesce.hpp"
@@ -59,7 +96,7 @@ namespace mdo::net {
 
 struct ReliableConfig {
   sim::TimeNs rto_initial = sim::milliseconds(20.0);
-  double rto_backoff = 2.0;                        ///< multiplier per timeout
+  double rto_backoff = 2.0;  ///< per-frame multiplier per timeout resend
   sim::TimeNs rto_max = sim::seconds(4.0);
   /// Continuous no-progress fabric time before a flow is abandoned and
   /// the peer-unreachable callback fires. Time-based on purpose: the
@@ -89,7 +126,8 @@ class ReliableDevice final : public FilterDevice {
 
   struct Counters {
     std::uint64_t data_sent = 0;       ///< packets framed and sequenced
-    std::uint64_t retransmits = 0;     ///< frames re-injected on timeout
+    std::uint64_t retransmits = 0;     ///< frames re-injected, any cause
+    std::uint64_t fast_retransmits = 0;  ///< of which on SACK evidence
     std::uint64_t acks_sent = 0;
     std::uint64_t acks_received = 0;
     std::uint64_t delivered = 0;       ///< packets released upward in order
@@ -145,19 +183,32 @@ class ReliableDevice final : public FilterDevice {
   /// the heal-to-resume clock for the partition sweep.
   sim::TimeNs last_resume_at() const { return last_resume_at_; }
 
-  /// RTT samples from unambiguous (never-retransmitted) frames.
+  /// RTT samples from unambiguous (never-retransmitted) frames, taken at
+  /// the first ACK, cumulative or selective, that covers the frame.
   const RunningStats& ack_rtt_ns() const { return ack_rtt_ns_; }
   /// Cross-cluster RTT samples (empty without a topology). Unlike
   /// ack_rtt_ns, this includes retransmitted frames measured from their
   /// first transmission, so the adaptive controller still observes a
-  /// link that degrades past the RTO (see handle_ack for why that's
+  /// link that degrades past the RTO (see sample_rtt for why that's
   /// sound here).
   const RunningStats& wan_ack_rtt_ns() const { return wan_ack_rtt_ns_; }
 
-  /// Frames awaiting an ack across all flows (0 once traffic quiesces).
+  /// Frames awaiting a cumulative ack across all flows, SACKed ones
+  /// included (0 once traffic quiesces).
   std::size_t unacked_frames() const;
   /// Out-of-order packets parked at receivers across all flows.
   std::size_t buffered_packets() const;
+
+  /// Retransmission state of one unacked frame (see flow_frames).
+  struct FrameTimer {
+    std::uint32_t seq = 0;
+    sim::TimeNs rto = 0;       ///< this frame's timeout, backed off per resend
+    sim::TimeNs deadline = 0;  ///< last transmission + rto
+    bool sacked = false;       ///< held by the receiver: never resent
+  };
+  /// The unacked frames of flow src -> dst in sequence order: a
+  /// diagnostic view of the per-frame deadlines.
+  std::vector<FrameTimer> flow_frames(NodeId src, NodeId dst) const;
 
   const ReliableConfig& config() const { return config_; }
 
@@ -167,17 +218,33 @@ class ReliableDevice final : public FilterDevice {
   struct Pending {
     Packet frame;               ///< DATA-framed copy, pre-checksum
     sim::TimeNs first_sent = 0;
+    sim::TimeNs last_sent = 0;  ///< the deadline runs from here
+    sim::TimeNs rto = 0;        ///< backed off per timeout resend
+    std::uint64_t tx_order = 0;  ///< flow transmission count at last_sent
+    /// tx_order of the first transmission. An ack of a resent frame may
+    /// be for that first copy, so it is the only order the ack proves.
+    std::uint64_t first_tx_order = 0;
+    /// Frames first transmitted after last_sent and acked since: the
+    /// fast retransmit fires at kDupThreshold.
+    std::uint32_t acked_after = 0;
     bool retransmitted = false;
     bool on_wire = true;  ///< false while held in quarantine, pre-transmission
+    bool sacked = false;  ///< the receiver holds it; never resent
+
+    sim::TimeNs deadline() const { return last_sent + rto; }
+    /// Whether a timeout or fast retransmit may resend it.
+    bool resendable() const { return on_wire && !sacked; }
   };
   struct SenderFlow {
     std::uint32_t next_seq = 0;
+    std::uint64_t next_tx = 0;  ///< transmissions so far, resends included
     std::map<std::uint32_t, Pending> unacked;
-    sim::TimeNs rto = 0;  ///< 0 = not yet initialized from config
-    /// Fabric time of the first no-progress timeout of the current
-    /// stall (0 = not stalled); give-up triggers on its age.
+    /// Fabric time of the first timeout of the current stall (0 = not
+    /// stalled); give-up triggers on its age, ack progress clears it.
     sim::TimeNs stall_start = 0;
-    bool timer_armed = false;
+    /// Fire time of the live timer (0 = none). An expiry at any other
+    /// time was superseded by an earlier arm and is stale.
+    sim::TimeNs timer_at = 0;
   };
   struct ReceiverFlow {
     std::uint32_t expected = 0;
@@ -193,11 +260,19 @@ class ReliableDevice final : public FilterDevice {
   /// Frame/sequence/store one outbound packet; returns false when the
   /// frame was quarantine-held and must not reach the wire.
   bool prepare_send(Packet& packet);
-  void arm_timer(const FlowKey& key);
-  void on_timeout(const FlowKey& key);
-  void handle_ack(const Packet& packet, std::uint32_t ack_seq);
+  /// Make sure the flow's timer fires no later than `deadline`.
+  void arm_timer(const FlowKey& key, SenderFlow& flow, sim::TimeNs deadline);
+  /// Re-arm at the earliest deadline of the flow's resendable frames.
+  void rearm_timer(const FlowKey& key, SenderFlow& flow);
+  void on_timeout(const FlowKey& key, sim::TimeNs fire_at);
+  /// Put one stored frame back on the wire as its latest transmission.
+  void transmit(SenderFlow& flow, Pending& pending, sim::TimeNs now);
+  void handle_ack(const Packet& packet, std::uint32_t cumulative,
+                  std::uint64_t sack);
+  /// Take the frame's RTT sample(s) on its first ack.
+  void sample_rtt(const Pending& pending, sim::TimeNs now, bool wan);
   std::optional<Packet> handle_data(Packet&& packet, std::uint32_t seq);
-  void send_ack(NodeId data_src, NodeId data_dst, std::uint32_t cumulative);
+  void send_ack(NodeId data_src, NodeId data_dst, const ReceiverFlow& flow);
   void clear_flow(const FlowKey& key, SenderFlow& flow);
   void resume_peer(NodeId peer);
   Quarantine* quarantined(NodeId peer);
@@ -212,6 +287,9 @@ class ReliableDevice final : public FilterDevice {
   Counters counters_;
   RunningStats ack_rtt_ns_;
   RunningStats wan_ack_rtt_ns_;
+  /// Reused by handle_ack: first_tx_order of each frame one ack newly
+  /// covers (a member, so it is not reallocated per ack).
+  std::vector<std::uint64_t> newly_acked_;
   sim::TimeNs last_resume_at_ = 0;
   PeerUnreachableFn on_peer_unreachable_;
   CongestionFn on_congestion_change_;

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -8,19 +9,32 @@ namespace mdo::sim {
 
 void Engine::schedule_at(TimeNs t, Callback fn) {
   MDO_CHECK_MSG(t >= now_, "cannot schedule an event in the past");
-  queue_.push(Event{t, next_seq_++, std::move(fn)});
+  std::size_t slot;
+  if (free_.empty()) {
+    slot = slots_.size();
+    slots_.push_back(std::move(fn));
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slots_[slot] = std::move(fn);
+  }
+  heap_.push_back(Event{t, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool Engine::step() {
-  if (stopped_ || queue_.empty()) return false;
-  // priority_queue::top() is const; the callback must be moved out before
-  // pop, so copy the header fields and steal the function.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
+  if (stopped_ || heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Event ev = heap_.back();
+  heap_.pop_back();
+  // Move the callback out before running it: it may schedule events
+  // that reuse its slot or grow slots_.
+  Callback fn = std::move(slots_[ev.slot]);
+  free_.push_back(ev.slot);
   MDO_ASSERT(ev.time >= now_);
   now_ = ev.time;
   ++processed_;
-  ev.fn();
+  fn();
   return true;
 }
 
@@ -31,7 +45,7 @@ void Engine::run() {
 
 void Engine::run_until(TimeNs t) {
   MDO_CHECK(t >= now_);
-  while (!stopped_ && !queue_.empty() && queue_.top().time <= t) {
+  while (!stopped_ && !heap_.empty() && heap_.front().time <= t) {
     step();
   }
   if (!stopped_) now_ = t;
@@ -42,7 +56,9 @@ void Engine::reset() {
   next_seq_ = 0;
   processed_ = 0;
   stopped_ = false;
-  while (!queue_.empty()) queue_.pop();
+  heap_.clear();
+  slots_.clear();
+  free_.clear();
 }
 
 }  // namespace mdo::sim

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -44,18 +43,20 @@ class Engine {
   bool stopped() const { return stopped_; }
   void clear_stop() { stopped_ = false; }
 
-  bool empty() const { return queue_.empty(); }
-  std::size_t pending() const { return queue_.size(); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t pending() const { return heap_.size(); }
   std::uint64_t events_processed() const { return processed_; }
 
   /// Drop all pending events and reset the clock (for test reuse).
   void reset();
 
  private:
+  /// Heap entry: the ordering key plus the index of the event's callback
+  /// in slots_, so sifting moves three words instead of a std::function.
   struct Event {
     TimeNs time;
     std::uint64_t seq;
-    Callback fn;
+    std::size_t slot;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -68,7 +69,9 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   bool stopped_ = false;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Event> heap_;         ///< min-heap on (time, seq) under Later
+  std::vector<Callback> slots_;     ///< callbacks of pending events
+  std::vector<std::size_t> free_;   ///< slots_ entries not in use
 };
 
 }  // namespace mdo::sim

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "net/chain.hpp"
@@ -9,6 +10,7 @@
 #include "net/striping.hpp"
 #include "net/topology.hpp"
 #include "sim/time.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -138,6 +140,36 @@ TEST(CompressionTest, DecodeRejectsTruncatedInput) {
   EXPECT_FALSE(CompressionDevice::rle_decode(enc).has_value());
 }
 
+TEST(CompressionTest, RleEncodeMatchesBytewiseReference) {
+  // The encoder scans runs a word at a time; its output must equal the
+  // plain one-byte-at-a-time encoding for runs of every length, across
+  // the 255 cap, and for inputs whose length is not a multiple of 8.
+  auto reference = [](const Bytes& in) {
+    Bytes out;
+    for (std::size_t i = 0; i < in.size();) {
+      std::size_t run = 1;
+      while (i + run < in.size() && in[i + run] == in[i] && run < 255) ++run;
+      out.push_back(static_cast<std::byte>(run));
+      out.push_back(in[i]);
+      i += run;
+    }
+    return out;
+  };
+  SplitMix64 rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    Bytes in;
+    const std::size_t target = rng.next_u64() % 2000;
+    while (in.size() < target) {
+      const std::size_t run = rng.next_u64() % 600;
+      const auto value = static_cast<std::byte>(rng.next_u64() % 3);
+      in.insert(in.end(), std::min(run, target - in.size()), value);
+    }
+    Bytes enc = CompressionDevice::rle_encode(in);
+    ASSERT_EQ(enc, reference(in)) << "trial " << trial;
+    ASSERT_EQ(CompressionDevice::rle_decode(enc), in) << "trial " << trial;
+  }
+}
+
 TEST(CompressionTest, DecodeRejectsZeroLengthRun) {
   Bytes enc{std::byte{0}, std::byte{42}};  // the encoder never emits run=0
   EXPECT_FALSE(CompressionDevice::rle_decode(enc).has_value());
@@ -257,6 +289,31 @@ TEST(CryptoTest, KeystreamVariesPerPacket) {
   auto f1 = wire_frames(chain, make_packet(0, 1, "same body", 1), ctx);
   auto f2 = wire_frames(chain, make_packet(0, 1, "same body", 2), ctx);
   EXPECT_NE(body_of(f1[0]), body_of(f2[0]));
+}
+
+TEST(CryptoTest, KeystreamXorsEachWordLowByteFirst) {
+  // Wire format: byte i is XORed with byte i % 8 (least significant
+  // first) of the (i / 8)-th SplitMix64 word seeded from key and packet
+  // id — on every payload length, including partial final words.
+  constexpr std::uint64_t kKey = 0xfeedULL;
+  constexpr std::uint64_t kId = 5;
+  for (std::size_t size = 0; size <= 40; ++size) {
+    Chain chain;
+    chain.add(std::make_unique<CryptoDevice>(kKey));
+    std::string body(size, '\0');
+    for (std::size_t i = 0; i < size; ++i) body[i] = static_cast<char>(i * 7);
+    SendContext ctx;
+    auto frames = wire_frames(chain, make_packet(0, 1, body, kId), ctx);
+    ASSERT_EQ(frames[0].payload.size(), size);
+    SplitMix64 stream(kKey ^ (kId * 0x9e3779b97f4a7c15ULL + 1));
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < size; ++i) {
+      if (i % 8 == 0) word = stream.next_u64();
+      const auto expect = static_cast<std::byte>(
+          static_cast<std::uint8_t>(body[i]) ^ ((word >> (8 * (i % 8))) & 0xff));
+      ASSERT_EQ(frames[0].payload[i], expect) << "size " << size << " byte " << i;
+    }
+  }
 }
 
 TEST(StripingTest, SmallPacketsPassThrough) {

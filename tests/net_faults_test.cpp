@@ -1,7 +1,8 @@
 // Fault injection and the reliability device: deterministic fault
 // streams, exactly-once in-order delivery over a hostile wire, replay
-// reproducibility, and the full stencil application running unharmed
-// across a lossy WAN.
+// reproducibility, selective-repeat loss recovery (per-frame deadlines,
+// SACK, fast retransmit), and the full stencil application running
+// unharmed across a lossy WAN.
 
 #include <gtest/gtest.h>
 
@@ -153,6 +154,7 @@ struct LossySim {
   obs::MetricRegistry metrics;  ///< fabric-level harness: no Machine to own one
   std::map<std::pair<net::NodeId, net::NodeId>, std::vector<std::string>>
       received;
+  sim::TimeNs last_delivery = 0;  ///< fabric time of the latest delivery
 
   explicit LossySim(const FaultConfig& faults,
                     sim::TimeNs rto = sim::microseconds(500)) {
@@ -167,8 +169,17 @@ struct LossySim {
     for (net::NodeId n = 0; n < 4; ++n) {
       fabric->set_delivery_handler(n, [this, n](Packet&& p) {
         received[{p.src, n}].push_back(body_of(p));
+        last_delivery = engine.now();
       });
     }
+  }
+
+  /// Send `body` from src to dst at fabric time `at`.
+  void send_at(sim::TimeNs at, net::NodeId src, net::NodeId dst,
+               std::string body) {
+    engine.schedule_at(at, [this, src, dst, body = std::move(body)] {
+      fabric->send(text_packet(src, dst, body));
+    });
   }
 };
 
@@ -262,6 +273,185 @@ TEST(ReliableSimTest, AckRttIsMeasured) {
   EXPECT_NEAR(sim.stack.reliable->ack_rtt_ns().mean(),
               static_cast<double>(sim::microseconds(200)),
               static_cast<double>(sim::microseconds(10)));
+}
+
+// -- selective repeat: per-frame deadlines, SACK, fast retransmit ------------
+// LossySim's wire is 100 us each way (RTT 200 us) with a 500 us RTO.
+// Nodes 0 and 1 sit in cluster 0, nodes 2 and 3 in cluster 1.
+
+/// A wire that loses exactly the frames sent on the directed cluster
+/// pair (src, dst) during [start, end) and nothing else.
+FaultConfig lose_during(net::ClusterId src, net::ClusterId dst,
+                        sim::TimeNs start, sim::TimeNs end) {
+  FaultConfig cfg;
+  cfg.partitions.push_back({src, dst, start, end});
+  return cfg;
+}
+
+std::vector<std::string> numbered(int n) {
+  std::vector<std::string> out;
+  for (int i = 0; i < n; ++i) out.push_back(std::to_string(i));
+  return out;
+}
+
+TEST(ReliableSimTest, FastRetransmitRepairsOneLossBeforeItsTimeout) {
+  // Frame 0 of a five-frame WAN burst is lost. The third frame SACKed
+  // behind it resends it at ~200 us, well before its 500 us deadline.
+  LossySim sim(lose_during(0, 1, 0, 1));
+  for (int i = 0; i < 5; ++i) sim.send_at(i, 0, 2, std::to_string(i));
+  sim.engine.run();
+
+  const auto& c = sim.stack.reliable->counters();
+  EXPECT_EQ(sim.stack.faults->counters().partition_dropped, 1u);
+  EXPECT_EQ(c.retransmits, 1u);
+  EXPECT_EQ(c.fast_retransmits, 1u);
+  EXPECT_EQ(c.duplicates_suppressed, 0u);
+  EXPECT_EQ((sim.received[{0, 2}]), numbered(5));
+  EXPECT_LT(sim.last_delivery, sim::microseconds(500));
+}
+
+TEST(ReliableSimTest, AdjacentSwapsAreNotLosses) {
+  // Every frame, acks included, is jittered by up to 150 us on a 100 us
+  // send spacing, so a frame can only ever be overtaken by its direct
+  // successor: one frame SACKed past a hole, below the duplicate
+  // threshold, and the 5 ms RTO never expires.
+  FaultConfig cfg;
+  cfg.reorder = 1.0;
+  cfg.reorder_jitter = sim::microseconds(150);
+  cfg.seed = 5;
+  LossySim sim(cfg, /*rto=*/sim::milliseconds(5));
+  for (int i = 0; i < 100; ++i) {
+    sim.send_at(sim::microseconds(100) * i, 0, 2, std::to_string(i));
+  }
+  sim.engine.run();
+
+  const auto& c = sim.stack.reliable->counters();
+  EXPECT_EQ((sim.received[{0, 2}]), numbered(100));
+  EXPECT_GT(c.out_of_order_buffered, 0u) << "no swap happened";
+  EXPECT_EQ(c.retransmits, 0u);
+  EXPECT_EQ(c.duplicates_suppressed, 0u);
+}
+
+TEST(ReliableSimTest, OneTimeoutBacksOffOnlyTheLostFrame) {
+  // SAN flow 0 -> 1. Frame 0 is lost; frames 1 and 2 follow at once
+  // (two SACKs, short of a fast retransmit) and 21 more leave just
+  // before frame 0's deadline, so 24 frames are unacked when it expires
+  // at 500 us. Only frame 0 may back off: a flow-wide backoff per
+  // overdue frame would stretch every neighbour toward rto_max and,
+  // under a give-up budget, abandon a healthy flow.
+  const sim::TimeNs rto = sim::microseconds(500);
+  const sim::TimeNs late = sim::microseconds(450);
+  LossySim sim(lose_during(0, 0, 0, 1), rto);
+  for (int i = 0; i < 3; ++i) sim.send_at(i, 0, 1, std::to_string(i));
+  for (int i = 3; i < 24; ++i) sim.send_at(late + i, 0, 1, std::to_string(i));
+  std::vector<net::ReliableDevice::FrameTimer> at_expiry;
+  sim.engine.schedule_at(rto + 1, [&] {
+    at_expiry = sim.stack.reliable->flow_frames(0, 1);
+  });
+  sim.engine.run();
+
+  ASSERT_EQ(at_expiry.size(), 24u);
+  EXPECT_EQ(at_expiry[0].rto, 2 * rto);
+  EXPECT_EQ(at_expiry[0].deadline, rto + 2 * rto);
+  EXPECT_TRUE(at_expiry[1].sacked);
+  EXPECT_TRUE(at_expiry[2].sacked);
+  for (std::size_t i = 1; i < at_expiry.size(); ++i) {
+    EXPECT_EQ(at_expiry[i].rto, rto) << "frame " << i;
+  }
+  for (std::size_t i = 3; i < at_expiry.size(); ++i) {
+    EXPECT_EQ(at_expiry[i].deadline,
+              late + static_cast<sim::TimeNs>(i) + rto)
+        << "frame " << i;
+  }
+  const auto& c = sim.stack.reliable->counters();
+  EXPECT_EQ(c.retransmits, 1u);
+  EXPECT_EQ(c.fast_retransmits, 0u);
+  EXPECT_EQ(c.flows_abandoned, 0u);
+  EXPECT_EQ(c.duplicates_suppressed, 0u);
+  EXPECT_EQ((sim.received[{0, 1}]), numbered(24));
+}
+
+TEST(ReliableSimTest, LateAckOfAResentFrameIsNoEvidenceOfLoss) {
+  // The acks of frames 0-2 are lost, so all three time out at 500 us and
+  // are resent, after frames 3-8 (sent at 400 us) are already in flight.
+  // The receiver had 0-2 all along; the ack of frame 3 covers 0-3 at
+  // 600 us. That ack may be for 0-2's first copies, so it proves nothing
+  // about 4-8, which arrive right behind it: no fast retransmit.
+  const sim::TimeNs burst = sim::microseconds(400);
+  LossySim sim(lose_during(1, 0, 0, sim::microseconds(450)));
+  for (int i = 0; i < 3; ++i) sim.send_at(i, 0, 2, std::to_string(i));
+  for (int i = 3; i < 9; ++i) sim.send_at(burst + i, 0, 2, std::to_string(i));
+  sim.engine.run();
+
+  const auto& c = sim.stack.reliable->counters();
+  EXPECT_EQ(c.retransmits, 3u);
+  EXPECT_EQ(c.fast_retransmits, 0u);
+  EXPECT_EQ(c.duplicates_suppressed, 3u);
+  EXPECT_EQ((sim.received[{0, 2}]), numbered(9));
+}
+
+/// Fabric stand-in for a lone device pair: what a device injects
+/// downward (its acks) is kept; nothing is delivered or timed.
+struct CaptureHost final : net::DeviceHost {
+  std::vector<Packet> sent;
+  sim::TimeNs host_now() const override { return 0; }
+  void host_schedule(sim::TimeNs, std::function<void()>) override {}
+  void inject_send(const net::FilterDevice*, Packet&& p) override {
+    sent.push_back(std::move(p));
+  }
+  void inject_receive(const net::FilterDevice*, Packet&&) override {}
+};
+
+TEST(ReliableDeviceTest, AckWithMalformedSackChangesNoFlowState) {
+  CaptureHost host;
+  net::ReliableDevice sender, receiver;
+  sender.bind_host(&host);
+  receiver.bind_host(&host);
+  std::vector<Packet> batch;
+  batch.push_back(text_packet(0, 2, "data"));
+  SendContext ctx;
+  sender.send_transform(batch, ctx);
+  ASSERT_EQ(batch.size(), 1u);
+  receiver.receive_transform(std::move(batch[0]));
+  ASSERT_EQ(host.sent.size(), 1u);
+  // The receiver's genuine ack for frame 0 ends in its 8-byte SACK map.
+  const Packet ack = host.sent[0];
+  const std::size_t header = ack.payload.size() - sizeof(std::uint64_t);
+
+  for (std::size_t sack_bytes : {1, 4, 7, 9, 16}) {
+    Packet bad = ack;
+    bad.payload.resize(header + sack_bytes);
+    EXPECT_FALSE(sender.receive_transform(std::move(bad)).has_value());
+  }
+  EXPECT_EQ(sender.counters().malformed_dropped, 5u);
+  EXPECT_EQ(sender.counters().acks_received, 0u);
+  const auto frames = sender.flow_frames(0, 2);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_FALSE(frames[0].sacked);
+  EXPECT_EQ(frames[0].rto, ReliableConfig{}.rto_initial);
+
+  // No SACK map at all is a pure cumulative ack, and valid.
+  Packet cumulative_only = ack;
+  cumulative_only.payload.resize(header);
+  sender.receive_transform(std::move(cumulative_only));
+  EXPECT_EQ(sender.counters().acks_received, 1u);
+  EXPECT_EQ(sender.counters().malformed_dropped, 5u);
+  EXPECT_EQ(sender.unacked_frames(), 0u);
+}
+
+TEST(ReliableSimTest, FramesHeldBehindAHoleSampleRttWhenSacked) {
+  // Frame 0 is lost and resent, so Karn's rule gives it no sample. The
+  // five frames behind it each sample one clean 200 us round trip when
+  // first SACKed, not the ~400 us until the cumulative point passes them.
+  LossySim sim(lose_during(0, 1, 0, 1));
+  for (int i = 0; i < 6; ++i) sim.send_at(i, 0, 2, std::to_string(i));
+  sim.engine.run();
+
+  const RunningStats& rtt = sim.stack.reliable->ack_rtt_ns();
+  EXPECT_EQ(rtt.count(), 5u);
+  EXPECT_NEAR(rtt.max(), static_cast<double>(sim::microseconds(200)),
+              static_cast<double>(sim::microseconds(10)));
+  EXPECT_EQ((sim.received[{0, 2}]), numbered(6));
 }
 
 // -- reliability over a faulty ThreadFabric -----------------------------------

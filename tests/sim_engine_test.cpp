@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -106,6 +110,46 @@ TEST(Engine, ResetClearsEverything) {
   EXPECT_EQ(e.now(), 0);
   EXPECT_TRUE(e.empty());
   EXPECT_EQ(e.events_processed(), 0u);
+}
+
+TEST(Engine, RunningCallbackSurvivesReuseOfItsSlot) {
+  // A callback's storage slot is released before it runs, so an event it
+  // schedules may take that slot; the running callback's captures must
+  // stay intact while it finishes.
+  Engine e;
+  std::vector<std::string> log;
+  const std::string tag(64, 'a');  // large enough to live on the heap
+  e.schedule_at(1, [&e, &log, tag] {
+    e.schedule_at(1, [&log] { log.push_back("second"); });
+    log.push_back(tag);
+  });
+  e.run();
+  EXPECT_EQ(log, (std::vector<std::string>{std::string(64, 'a'), "second"}));
+}
+
+TEST(Engine, PopsInTimeThenInsertionOrderUnderInterleaving) {
+  // Events scheduled between steps, with many equal times, come out
+  // sorted by (time, insertion sequence).
+  Engine e;
+  std::vector<std::pair<TimeNs, int>> expected;
+  std::vector<std::pair<TimeNs, int>> fired;
+  std::uint64_t state = 7;
+  int id = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (int k = 0; k < 5; ++k) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const TimeNs t = e.now() + static_cast<TimeNs>((state >> 33) % 8);
+      const int mine = id++;
+      expected.emplace_back(t, mine);
+      e.schedule_at(t, [&fired, &e, mine] { fired.emplace_back(e.now(), mine); });
+    }
+    e.step();
+    e.step();
+  }
+  e.run();
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  EXPECT_EQ(fired, expected);
 }
 
 TEST(Engine, DeterministicInterleaving) {

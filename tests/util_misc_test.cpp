@@ -45,18 +45,9 @@ TEST(Fmt, FixedPrecision) {
   EXPECT_EQ(fmt_ns_as_s(3924000000LL), "3.924");
 }
 
-TEST(Strings, SplitJoinTrim) {
+TEST(Strings, Split) {
   EXPECT_EQ(mdo::split("a,b,,c", ','),
             (std::vector<std::string>{"a", "b", "", "c"}));
-  EXPECT_EQ(mdo::join({"x", "y"}, "-"), "x-y");
-  EXPECT_EQ(mdo::trim("  hi \n"), "hi");
-  EXPECT_EQ(mdo::trim("   "), "");
-}
-
-TEST(Strings, HumanBytes) {
-  EXPECT_EQ(mdo::human_bytes(512), "512 B");
-  EXPECT_EQ(mdo::human_bytes(1536), "1.5 KiB");
-  EXPECT_EQ(mdo::human_bytes(3 * 1024 * 1024), "3.0 MiB");
 }
 
 TEST(OptionsTest, ParsesAllForms) {
