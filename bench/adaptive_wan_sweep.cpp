@@ -203,10 +203,6 @@ int main(int argc, char** argv) {
 
   // ---- Scene 2: diurnal link — adaptive vs every static window. ----
   bench::print_section("diurnal link (static window sweep vs adaptive)");
-  // Every diurnal run — static and adaptive alike — gets an RTO sized
-  // for the slow phase, the standard worst-case static sizing. With the
-  // default 20 ms RTO a 64 ms slow-phase RTT retransmits every frame,
-  // and the resulting storm is identical noise across all configs.
   auto diurnal_base = [&] {
     grid::Scenario s =
         grid::Scenario::artificial(static_cast<std::size_t>(pes), low);
@@ -219,8 +215,6 @@ int main(int argc, char** argv) {
       s.with_link_drift(0, 1, at + high_len, low)
           .with_link_drift(1, 0, at + high_len, low);
     }
-    s.reliable.rto_initial = 3 * high;
-    s.reliable.give_up_budget = 24 * s.reliable.rto_initial;
     return s;
   };
 

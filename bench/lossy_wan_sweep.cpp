@@ -95,7 +95,8 @@ int main(int argc, char** argv) {
 
   bench::print_section("ms/step and reliability counters vs loss rate");
   TextTable table({"loss_pct", "ms_per_step", "overhead_pct", "data_sent",
-                   "retransmits", "dropped", "dup_suppressed", "ack_rtt_ms"});
+                   "retransmits", "spurious", "dropped", "dup_suppressed",
+                   "ack_rtt_ms"});
 
   bench::JsonRecorder recorder("lossy_wan_sweep");
   recorder.config("mesh", mesh)
@@ -129,7 +130,9 @@ int main(int argc, char** argv) {
         {fmt_double(loss_pct, 1), fmt_double(run.ms_per_step, 3),
          fmt_double(overhead, 1),
          std::to_string(m.counter("net.reliable.data_sent")),
-         std::to_string(retransmits), std::to_string(dropped),
+         std::to_string(retransmits),
+         std::to_string(m.counter("net.reliable.spurious_retransmits")),
+         std::to_string(dropped),
          std::to_string(duplicates),
          fmt_double(m.gauge("net.reliable.ack_rtt_ns") / 1e6, 3)});
     char field[32];  // "0.5", "2": the JSON label

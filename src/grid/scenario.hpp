@@ -155,9 +155,11 @@ struct Scenario {
   // later call.
 
   /// Lossy WAN: drop probability `drop` per wire frame, deterministic
-  /// under `seed`; machines install the full reliability stack. The RTO
-  /// is sized to a couple of round trips so retransmissions repair
-  /// losses without spurious duplicates.
+  /// under `seed`; machines install the full reliability stack. Each
+  /// flow times out on its own measured round trip once acks have
+  /// sampled it (net/reliable.hpp); until then it waits one round trip
+  /// of the slowest link (see size_rto), so a first frame is not resent
+  /// while its ack is still on the way.
   Scenario& with_loss(double drop, std::uint64_t seed = 1) {
     faults.drop = drop;
     faults.seed = seed;
@@ -319,12 +321,16 @@ struct Scenario {
   }
 
  private:
-  /// RTO sized to a couple of round trips on the slowest link (used by
-  /// loss and crash knobs; idempotent, so builder order does not matter).
-  /// The give-up budget scales with the RTO — time-based, so LAN and
-  /// 10x-latency WAN links abandon unreachable flows after the *same*
-  /// multiple of their round-trip time (24 RTOs spans roughly five
-  /// backed-off retransmission timeouts at backoff 2.0).
+  /// The static half of retransmission sizing, from the link table
+  /// (used by loss and crash knobs; idempotent, so builder order does not
+  /// matter). rto_initial is a flow's RTO only until its first RTT
+  /// sample: one round trip of the slowest link plus 1 ms, at least
+  /// 2 ms. The give-up budget is 24 of those, time-based so LAN and
+  /// 10x-latency WAN links abandon unreachable flows after the same
+  /// multiple of the worst round trip (about five backed-off timeouts at
+  /// backoff 2.0). It stays on the static table on purpose: 24 live RTOs
+  /// of a SAN flow last about 24 ms, which an ordinary host stall on
+  /// Thread or Process outlasts.
   void size_rto() {
     reliable.rto_initial = std::max<sim::TimeNs>(
         2 * max_one_way() + sim::milliseconds(1.0),

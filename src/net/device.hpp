@@ -64,6 +64,13 @@ class DeviceHost {
   /// nodes (the heartbeat emitter/monitor loops) must restrict themselves
   /// to it instead of impersonating remote peers.
   virtual std::optional<NodeId> host_local_node() const { return std::nullopt; }
+
+  /// Run `fn` with exclusive chain access from outside fabric context,
+  /// such as a metrics snapshot taken on another thread. A fabric whose
+  /// chain runs on its own thread calls `fn` under its fabric lock; a
+  /// single-threaded fabric just calls it. Chain code takes other locks
+  /// while it holds the fabric lock, so `fn` must take none.
+  virtual void host_locked(const std::function<void()>& fn) { fn(); }
 };
 
 class FilterDevice {
@@ -74,6 +81,16 @@ class FilterDevice {
   /// Called by the chain when it is attached to a fabric. Devices that
   /// never originate traffic can ignore the host.
   void bind_host(DeviceHost* host) { host_ = host; }
+
+  /// Run `fn` with exclusive access to this device's state, from any
+  /// thread (see DeviceHost::host_locked).
+  void with_host_lock(const std::function<void()>& fn) const {
+    if (host_ != nullptr) {
+      host_->host_locked(fn);
+    } else {
+      fn();
+    }
+  }
 
   /// Transform the outgoing packet list in place. Most devices rewrite
   /// each packet; the striping device replaces one packet with fragments.

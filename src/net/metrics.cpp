@@ -10,13 +10,28 @@
 #include "net/striping.hpp"
 
 namespace mdo::net {
+namespace {
+
+/// Register a device source that reads the device under its fabric's
+/// lock: on Thread and Process, sends and fabric timers write device
+/// state on other threads while a snapshot runs.
+template <typename Device, typename Publish>
+void add_device_source(obs::MetricRegistry& reg, const char* prefix,
+                       const Device& dev, Publish publish) {
+  reg.add_source(prefix, [&dev, publish](obs::MetricSink& sink) {
+    dev.with_host_lock([&] { publish(sink); });
+  });
+}
+
+}  // namespace
 
 void register_metrics(obs::MetricRegistry& reg, const ReliableDevice& dev) {
-  reg.add_source("net.reliable", [&dev](obs::MetricSink& sink) {
+  add_device_source(reg, "net.reliable", dev, [&dev](obs::MetricSink& sink) {
     const auto& c = dev.counters();
     sink.counter("data_sent", c.data_sent);
     sink.counter("retransmits", c.retransmits);
     sink.counter("fast_retransmits", c.fast_retransmits);
+    sink.counter("spurious_retransmits", c.spurious_retransmits);
     sink.counter("acks_sent", c.acks_sent);
     sink.counter("acks_received", c.acks_received);
     sink.counter("delivered", c.delivered);
@@ -40,7 +55,7 @@ void register_metrics(obs::MetricRegistry& reg, const ReliableDevice& dev) {
 }
 
 void register_metrics(obs::MetricRegistry& reg, const FaultDevice& dev) {
-  reg.add_source("net.fault", [&dev](obs::MetricSink& sink) {
+  add_device_source(reg, "net.fault", dev, [&dev](obs::MetricSink& sink) {
     const auto& c = dev.counters();
     sink.counter("seen", c.seen);
     sink.counter("dropped", c.dropped);
@@ -52,7 +67,7 @@ void register_metrics(obs::MetricRegistry& reg, const FaultDevice& dev) {
 }
 
 void register_metrics(obs::MetricRegistry& reg, const HeartbeatDevice& dev) {
-  reg.add_source("net.heartbeat", [&dev](obs::MetricSink& sink) {
+  add_device_source(reg, "net.heartbeat", dev, [&dev](obs::MetricSink& sink) {
     const auto& c = dev.counters();
     sink.counter("beats_sent", c.beats_sent);
     sink.counter("beats_received", c.beats_received);
@@ -66,7 +81,7 @@ void register_metrics(obs::MetricRegistry& reg, const HeartbeatDevice& dev) {
 }
 
 void register_metrics(obs::MetricRegistry& reg, const CoalesceDevice& dev) {
-  reg.add_source("net.coalesce", [&dev](obs::MetricSink& sink) {
+  add_device_source(reg, "net.coalesce", dev, [&dev](obs::MetricSink& sink) {
     const auto& c = dev.counters();
     sink.counter("packets_seen", c.packets_seen);
     sink.counter("packets_bundled", c.packets_bundled);
@@ -89,21 +104,21 @@ void register_metrics(obs::MetricRegistry& reg, const CoalesceDevice& dev) {
 }
 
 void register_metrics(obs::MetricRegistry& reg, const ChecksumDevice& dev) {
-  reg.add_source("net.checksum", [&dev](obs::MetricSink& sink) {
+  add_device_source(reg, "net.checksum", dev, [&dev](obs::MetricSink& sink) {
     sink.counter("packets_verified", dev.packets_verified());
     sink.counter("corrupt_dropped", dev.corrupt_dropped());
   });
 }
 
 void register_metrics(obs::MetricRegistry& reg, const CompressionDevice& dev) {
-  reg.add_source("net.compress", [&dev](obs::MetricSink& sink) {
+  add_device_source(reg, "net.compress", dev, [&dev](obs::MetricSink& sink) {
     sink.counter("bytes_saved", dev.bytes_saved());
     sink.counter("decode_failures", dev.decode_failures());
   });
 }
 
 void register_metrics(obs::MetricRegistry& reg, const StripingDevice& dev) {
-  reg.add_source("net.stripe", [&dev](obs::MetricSink& sink) {
+  add_device_source(reg, "net.stripe", dev, [&dev](obs::MetricSink& sink) {
     sink.counter("packets_striped", dev.packets_striped());
     sink.counter("fragments_squashed", dev.fragments_squashed());
     sink.gauge("pending_reassemblies",

@@ -17,29 +17,45 @@ constexpr std::uint32_t kSackBits = 64;
 /// Later-transmitted frames acked before a frame is resent without
 /// waiting for its timeout (TCP's duplicate threshold).
 constexpr std::uint32_t kDupThreshold = 3;
+/// Transmission numbers stop here: an echo of it names no one copy.
+constexpr std::uint8_t kTxSaturated = 255;
+/// Floor of the RTO's variance term (RFC 9002's kGranularity).
+constexpr sim::TimeNs kGranularity = sim::milliseconds(1.0);
+
+/// [seq:u32][type:u8][tx:u8][pad:2]; see the wire format in reliable.hpp.
+constexpr std::size_t kHeaderBytes = 8;
+constexpr std::size_t kTypeByte = 4;
+constexpr std::size_t kTxByte = 5;
+/// ACK payload: [sack:u64][echo_seq:u32].
+constexpr std::size_t kAckBodyBytes = 12;
 
 struct WireHeader {
   std::uint32_t seq = 0;  ///< DATA: sequence number; ACK: cumulative ack
   std::uint8_t type = kData;
+  std::uint8_t tx = 0;    ///< DATA: transmission number; ACK: echoed one
 };
 
-void frame(Packet& packet, std::uint8_t type, std::uint32_t seq) {
-  WireHeader hdr{seq, type};
+void frame(Packet& packet, const WireHeader& hdr) {
+  std::byte head[kHeaderBytes] = {};
+  std::memcpy(head, &hdr.seq, sizeof(hdr.seq));
+  head[kTypeByte] = std::byte{hdr.type};
+  head[kTxByte] = std::byte{hdr.tx};
   Bytes framed;
-  framed.reserve(sizeof(hdr) + packet.payload.size());
-  const auto* hp = reinterpret_cast<const std::byte*>(&hdr);
-  framed.insert(framed.end(), hp, hp + sizeof(hdr));
+  framed.reserve(kHeaderBytes + packet.payload.size());
+  framed.insert(framed.end(), head, head + kHeaderBytes);
   framed.insert(framed.end(), packet.payload.begin(), packet.payload.end());
   packet.payload = std::move(framed);
 }
 
 bool deframe(Packet& packet, WireHeader& hdr) {
-  if (packet.payload.size() < sizeof(hdr)) return false;
-  std::memcpy(&hdr, packet.payload.data(), sizeof(hdr));
+  if (packet.payload.size() < kHeaderBytes) return false;
+  std::memcpy(&hdr.seq, packet.payload.data(), sizeof(hdr.seq));
+  hdr.type = std::to_integer<std::uint8_t>(packet.payload[kTypeByte]);
+  hdr.tx = std::to_integer<std::uint8_t>(packet.payload[kTxByte]);
   if (hdr.type != kData && hdr.type != kAck) return false;
   packet.payload.erase(packet.payload.begin(),
                        packet.payload.begin() +
-                           static_cast<std::ptrdiff_t>(sizeof(hdr)));
+                           static_cast<std::ptrdiff_t>(kHeaderBytes));
   return true;
 }
 
@@ -89,6 +105,19 @@ std::vector<ReliableDevice::FrameTimer> ReliableDevice::flow_frames(
   return out;
 }
 
+std::optional<ReliableDevice::RttEstimate> ReliableDevice::flow_rtt(
+    NodeId src, NodeId dst) const {
+  auto it = senders_.find({src, dst});
+  if (it == senders_.end()) return std::nullopt;
+  return it->second.rtt;
+}
+
+sim::TimeNs ReliableDevice::fresh_rto(const SenderFlow& flow) const {
+  if (!flow.rtt.has_value()) return config_.rto_initial;
+  return std::min(flow.rtt->srtt + std::max(kGranularity, 4 * flow.rtt->rttvar),
+                  config_.rto_max);
+}
+
 ReliableDevice::Quarantine* ReliableDevice::quarantined(NodeId peer) {
   auto it = quarantine_.find(peer);
   if (it == quarantine_.end() || !it->second.active) return nullptr;
@@ -128,12 +157,12 @@ bool ReliableDevice::prepare_send(Packet& packet) {
   FlowKey key{packet.src, packet.dst};
   SenderFlow& flow = senders_[key];
   std::uint32_t seq = flow.next_seq++;
-  frame(packet, kData, seq);
+  frame(packet, {seq, kData, 0});
   Pending pending;
   pending.frame = packet;  // framed copy, pre-checksum/fault/delay
   pending.first_sent = host_->host_now();
   pending.last_sent = pending.first_sent;
-  pending.rto = config_.rto_initial;
+  pending.rto = fresh_rto(flow);
   Quarantine* q = quarantined(packet.dst);
   if (q != nullptr) {
     // The peer is suspect: sequence the frame but hold it off the wire.
@@ -198,6 +227,17 @@ void ReliableDevice::transmit(SenderFlow& flow, Pending& pending,
   host_->inject_send(this, std::move(copy));
 }
 
+void ReliableDevice::resend(SenderFlow& flow, Pending& pending,
+                            sim::TimeNs now) {
+  ++counters_.retransmits;
+  if (pending.tx < kTxSaturated) {
+    ++pending.tx;
+    pending.resent_at.push_back(now);
+    pending.frame.payload[kTxByte] = std::byte{pending.tx};
+  }
+  transmit(flow, pending, now);
+}
+
 void ReliableDevice::clear_flow(const FlowKey& key, SenderFlow& flow) {
   Quarantine* q = quarantined(key.second);
   if (q != nullptr) {
@@ -259,13 +299,11 @@ void ReliableDevice::on_timeout(const FlowKey& key, sim::TimeNs fire_at) {
     // alone, so one loss never stretches its neighbours' timeouts.
     for (auto& [seq, pending] : flow.unacked) {
       if (!pending.resendable() || pending.deadline() > now) continue;
-      pending.retransmitted = true;
-      ++counters_.retransmits;
       pending.rto = std::min(
           static_cast<sim::TimeNs>(static_cast<double>(pending.rto) *
                                    config_.rto_backoff),
           config_.rto_max);
-      transmit(flow, pending, now);
+      resend(flow, pending, now);
     }
   }
   rearm_timer(key, flow);
@@ -276,20 +314,19 @@ void ReliableDevice::resume_peer(NodeId peer) {
   for (auto& [key, flow] : senders_) {
     if (key.second != peer || flow.unacked.empty()) continue;
     // Replay everything the receiver lacks in sequence order: frames that
-    // were on the wire before the quarantine go out as retransmissions
-    // (ambiguous for RTT), held frames as clean first transmissions.
+    // were on the wire before the quarantine go out as their next copy,
+    // held frames as first transmissions.
     for (auto& [seq, pending] : flow.unacked) {
       if (pending.sacked) continue;
+      pending.rto = fresh_rto(flow);
       if (pending.on_wire) {
-        pending.retransmitted = true;
-        ++counters_.retransmits;
-      } else {
-        pending.on_wire = true;
-        pending.first_sent = now;
+        resend(flow, pending, now);
+        continue;
       }
-      pending.rto = config_.rto_initial;
+      pending.on_wire = true;
+      pending.first_sent = now;
       transmit(flow, pending, now);
-      if (!pending.retransmitted) pending.first_tx_order = pending.tx_order;
+      pending.first_tx_order = pending.tx_order;
     }
     flow.stall_start = 0;
     rearm_timer(key, flow);
@@ -357,39 +394,53 @@ std::optional<Packet> ReliableDevice::receive_transform(Packet packet) {
   }
   if (hdr.type == kAck) {
     std::uint64_t sack = 0;
-    if (packet.payload.size() == sizeof(sack)) {
+    std::optional<Echo> echo;
+    if (packet.payload.size() == kAckBodyBytes) {
+      echo.emplace();
       std::memcpy(&sack, packet.payload.data(), sizeof(sack));
+      std::memcpy(&echo->seq, packet.payload.data() + sizeof(sack),
+                  sizeof(echo->seq));
+      echo->tx = hdr.tx;
     } else if (!packet.payload.empty()) {
       ++counters_.malformed_dropped;
       return std::nullopt;
     }
-    handle_ack(packet, hdr.seq, sack);
+    handle_ack(packet, hdr.seq, sack, echo);
     return std::nullopt;
   }
-  return handle_data(std::move(packet), hdr.seq);
+  return handle_data(std::move(packet), {hdr.seq, hdr.tx});
 }
 
-void ReliableDevice::sample_rtt(const Pending& pending, sim::TimeNs now,
-                                bool wan) {
-  const auto rtt = static_cast<double>(now - pending.first_sent);
-  // Karn's rule: retransmitted frames are ambiguous (the ack may be for
-  // either copy), so the general RTT stat skips them. The WAN stat
-  // deliberately keeps them, measured from the FIRST transmission: when
-  // the link degrades past the RTO every in-flight frame gets
-  // retransmitted, and a Karn-strict estimator goes blind at exactly the
-  // moment the adaptive controller needs to see the new RTT. The first
-  // ack to cover a seq belongs to the earliest surviving copy, so
-  // first_sent is exact on a slow-but-clean link and only overestimates
-  // (by the backoff) when the original was truly lost — an error in the
-  // safe (window-widening) direction, absorbed by the controller's EWMA
-  // and hysteresis. No RTO feedback risk either way: frame RTOs here are
-  // config-driven, not derived from this stat.
-  if (!pending.retransmitted) ack_rtt_ns_.add(rtt);
-  if (wan) wan_ack_rtt_ns_.add(rtt);
+void ReliableDevice::sample_rtt(SenderFlow& flow, const Echo& echo,
+                                sim::TimeNs now, bool wan) {
+  auto it = flow.unacked.find(echo.seq);
+  // An echo of a frame acked before, or of a copy never sent, names no
+  // send time this sender still knows.
+  if (it == flow.unacked.end()) return;
+  const Pending& pending = it->second;
+  if (!pending.on_wire || echo.tx > pending.tx) return;
+  if (echo.tx < pending.tx) ++counters_.spurious_retransmits;
+  if (echo.tx == kTxSaturated) return;
+  const sim::TimeNs sent =
+      echo.tx == 0 ? pending.first_sent : pending.resent_at[echo.tx - 1U];
+  const sim::TimeNs rtt = now - sent;
+  // RFC 6298 section 2, with RTTVAR updated from the SRTT before this
+  // sample.
+  if (!flow.rtt.has_value()) {
+    flow.rtt = RttEstimate{rtt, rtt / 2};
+  } else {
+    RttEstimate& est = *flow.rtt;
+    const sim::TimeNs err = est.srtt > rtt ? est.srtt - rtt : rtt - est.srtt;
+    est.rttvar = (3 * est.rttvar + err) / 4;
+    est.srtt = (7 * est.srtt + rtt) / 8;
+  }
+  ack_rtt_ns_.add(static_cast<double>(rtt));
+  if (wan) wan_ack_rtt_ns_.add(static_cast<double>(rtt));
 }
 
 void ReliableDevice::handle_ack(const Packet& packet, std::uint32_t cumulative,
-                                std::uint64_t sack) {
+                                std::uint64_t sack,
+                                const std::optional<Echo>& echo) {
   ++counters_.acks_received;
   // The ack travels the reverse direction of its data flow.
   FlowKey key{packet.dst, packet.src};
@@ -398,13 +449,12 @@ void ReliableDevice::handle_ack(const Packet& packet, std::uint32_t cumulative,
   const sim::TimeNs now = host_->host_now();
   const bool wan = topo_ != nullptr &&
                    topo_->cluster_of(key.first) != topo_->cluster_of(key.second);
+  // Sample before the ack retires the echoed frame with its send times.
+  if (echo.has_value()) sample_rtt(flow, *echo, now, wan);
   newly_acked_.clear();
   for (auto it = flow.unacked.begin();
        it != flow.unacked.end() && it->first < cumulative;) {
-    if (!it->second.sacked) {
-      sample_rtt(it->second, now, wan);
-      newly_acked_.push_back(it->second.first_tx_order);
-    }
+    if (!it->second.sacked) newly_acked_.push_back(it->second.first_tx_order);
     if (q != nullptr) {
       if (q->frames > 0) --q->frames;
       q->bytes -= std::min(q->bytes, it->second.frame.payload.size());
@@ -417,7 +467,6 @@ void ReliableDevice::handle_ack(const Packet& packet, std::uint32_t cumulative,
     auto it = flow.unacked.find(seq);
     if (it == flow.unacked.end() || it->second.sacked) continue;
     it->second.sacked = true;
-    sample_rtt(it->second, now, wan);
     newly_acked_.push_back(it->second.first_tx_order);
   }
   if (newly_acked_.empty()) return;
@@ -435,17 +484,16 @@ void ReliableDevice::handle_ack(const Packet& packet, std::uint32_t cumulative,
                                               newly_acked_.end(),
                                               pending.tx_order));
     if (pending.acked_after < kDupThreshold) continue;
-    pending.retransmitted = true;
-    ++counters_.retransmits;
     ++counters_.fast_retransmits;
-    transmit(flow, pending, now);
+    resend(flow, pending, now);
   }
   // The resent frames' deadlines only moved later, so the live timer
   // (due no later than the old earliest deadline) still covers them.
 }
 
 std::optional<Packet> ReliableDevice::handle_data(Packet&& packet,
-                                                  std::uint32_t seq) {
+                                                  Echo echo) {
+  const std::uint32_t seq = echo.seq;
   FlowKey key{packet.src, packet.dst};
   ReceiverFlow& flow = receivers_[key];
   const NodeId data_src = packet.src;
@@ -472,20 +520,21 @@ std::optional<Packet> ReliableDevice::handle_data(Packet&& packet,
     flow.buffered.emplace(seq, std::move(packet));
     ++counters_.out_of_order_buffered;
   }
-  send_ack(data_src, data_dst, flow);
+  send_ack(data_src, data_dst, flow, echo);
   return std::nullopt;
 }
 
 void ReliableDevice::send_ack(NodeId data_src, NodeId data_dst,
-                              const ReceiverFlow& flow) {
+                              const ReceiverFlow& flow, Echo echo) {
   Packet ack;
   ack.src = data_dst;  // acks travel receiver -> sender
   ack.dst = data_src;
   ack.inject_time = host_->host_now();
   const std::uint64_t sack = sack_bitmap(flow.buffered, flow.expected);
-  ack.payload.resize(sizeof(sack));
+  ack.payload.resize(kAckBodyBytes);
   std::memcpy(ack.payload.data(), &sack, sizeof(sack));
-  frame(ack, kAck, flow.expected);
+  std::memcpy(ack.payload.data() + sizeof(sack), &echo.seq, sizeof(echo.seq));
+  frame(ack, {flow.expected, kAck, echo.tx});
   ++counters_.acks_sent;
   host_->inject_send(this, std::move(ack));
 }

@@ -8,16 +8,33 @@
 // with an ACK. Losses are repaired by selective repeat: only the frames
 // that are actually missing are resent.
 //
-// Wire format (host byte order; the header is padded to 8 bytes):
+// Wire format (host byte order; every header byte is written, padding
+// as zero):
 //
-//   DATA  [seq:u32][type=0:u8][pad:3][payload...]
-//   ACK   [cum:u32][type=1:u8][pad:3][sack:u64]
+//   DATA  [seq:u32][type=0:u8][tx:u8][pad:2][payload...]
+//   ACK   [cum:u32][type=1:u8][echo_tx:u8][pad:2][sack:u64][echo_seq:u32]
 //
-// `cum` is the cumulative point, the next sequence number the receiver
-// needs; bit i of `sack` says the receiver holds frame cum + 1 + i
-// (kSackBits = 64 frames past the hole are visible). An ACK with an empty
-// payload is a pure cumulative ACK; any other payload length is
-// malformed and dropped without touching flow state.
+// `tx` is the frame's transmission number: 0 for the first copy, one
+// more for each resend, saturating at 255. Every ACK echoes the
+// (echo_seq, echo_tx) of the DATA copy that triggered it. `cum` is the
+// cumulative point, the next sequence number the receiver needs; bit i of
+// `sack` says the receiver holds frame cum + 1 + i (kSackBits = 64 frames
+// past the hole are visible). An ACK with an empty payload is a pure
+// cumulative ACK with no echo; any other payload length is malformed and
+// dropped without touching flow state.
+//
+// RTT estimate, per flow (RFC 6298 section 2): the sender takes exactly
+// one RTT sample per ACK, from the send time of the copy the echo names,
+// and none for a saturated transmission number. The echo removes Karn's
+// ambiguity, so a resent frame samples as cleanly as any other. Each flow
+// keeps SRTT and RTTVAR in integer nanoseconds (gains 1/8 and 1/4), and a
+// frame that is sent, or replayed after quarantine, starts with
+// RTO = SRTT + max(1 ms, 4 * RTTVAR), capped at rto_max. The 1 ms floor
+// is RFC 9002's timer granularity: on a deterministic link RTTVAR decays
+// to about zero, and one larger frame would then overrun the RTO. Before
+// its first sample a flow uses rto_initial. An ACK whose echo names an
+// earlier copy of a frame that has since been resent proves that resend
+// spurious (Eifel detection, RFC 3522): counters().spurious_retransmits.
 //
 // Sender state is per frame, not per flow:
 //
@@ -34,14 +51,10 @@
 //   frames transmitted after it have been acked (TCP's duplicate
 //   threshold). Link drift and fault jitter reorder frames, so a lower
 //   threshold would resend frames that are merely late. A frame that was
-//   itself resent counts from its first transmission (Karn's ambiguity:
-//   its ack may be for the first copy), so the late acks of frames
-//   resent on a spurious timeout do not condemn the frames sent between
-//   their two copies.
-//
-// RTT samples (Karn's rule: only never-retransmitted frames feed
-// ack_rtt_ns) are taken at the first ACK, cumulative or selective, that
-// covers a frame, so a frame held behind a hole still measures the link.
+//   itself resent counts from its first transmission: a cumulative or
+//   selective ack does not say which copy the receiver holds (only the
+//   echoed frame's), so the late acks of frames resent on a spurious
+//   timeout do not condemn the frames sent between their two copies.
 //
 // Two escape hatches bound the retransmission loop:
 //
@@ -51,7 +64,10 @@
 //   peer-unreachable callback fires. A raw retry count would make the
 //   wall-clock give-up scale with the link RTT (64 backed-off timeouts
 //   on a 10x-latency WAN link last ~10x longer than on a LAN), so the
-//   budget is expressed in time and sized from the RTO.
+//   budget is expressed in time. It is sized from the static link table
+//   (Scenario::size_rto), not from the live estimate: 24 live RTOs of a
+//   SAN flow last about 24 ms, which an ordinary host stall on a
+//   wall-clock backend outlasts.
 //
 // * Quarantine: while the failure detector merely *suspects* a peer
 //   (silent, but possibly just partitioned — see net/heartbeat.hpp), the
@@ -95,13 +111,16 @@
 namespace mdo::net {
 
 struct ReliableConfig {
+  /// A flow's RTO until its first RTT sample; the estimate takes over
+  /// from then on (see the file comment).
   sim::TimeNs rto_initial = sim::milliseconds(20.0);
   double rto_backoff = 2.0;  ///< per-frame multiplier per timeout resend
   sim::TimeNs rto_max = sim::seconds(4.0);
   /// Continuous no-progress fabric time before a flow is abandoned and
   /// the peer-unreachable callback fires. Time-based on purpose: the
   /// wall-clock meaning is identical on LAN and 10x-latency WAN links.
-  /// Scenario::size_rto derives it from the RTO (24 * rto_initial).
+  /// Scenario::size_rto derives it from the static link table
+  /// (24 * rto_initial).
   sim::TimeNs give_up_budget = sim::seconds(120.0);
   /// Per-peer quarantine bound: once this many frames (or bytes) are
   /// held/unacked toward a suspect peer, the congestion callback trips
@@ -128,6 +147,9 @@ class ReliableDevice final : public FilterDevice {
     std::uint64_t data_sent = 0;       ///< packets framed and sequenced
     std::uint64_t retransmits = 0;     ///< frames re-injected, any cause
     std::uint64_t fast_retransmits = 0;  ///< of which on SACK evidence
+    /// ACKs whose echo names an earlier copy of a frame that has since
+    /// been resent: the resend was not needed (RFC 3522).
+    std::uint64_t spurious_retransmits = 0;
     std::uint64_t acks_sent = 0;
     std::uint64_t acks_received = 0;
     std::uint64_t delivered = 0;       ///< packets released upward in order
@@ -183,15 +205,19 @@ class ReliableDevice final : public FilterDevice {
   /// the heal-to-resume clock for the partition sweep.
   sim::TimeNs last_resume_at() const { return last_resume_at_; }
 
-  /// RTT samples from unambiguous (never-retransmitted) frames, taken at
-  /// the first ACK, cumulative or selective, that covers the frame.
+  /// Every RTT sample across all flows: one per ACK, from the send time
+  /// of the copy its echo names (the samples the flow estimates take).
   const RunningStats& ack_rtt_ns() const { return ack_rtt_ns_; }
-  /// Cross-cluster RTT samples (empty without a topology). Unlike
-  /// ack_rtt_ns, this includes retransmitted frames measured from their
-  /// first transmission, so the adaptive controller still observes a
-  /// link that degrades past the RTO (see sample_rtt for why that's
-  /// sound here).
+  /// The cross-cluster subset of ack_rtt_ns (empty without a topology).
   const RunningStats& wan_ack_rtt_ns() const { return wan_ack_rtt_ns_; }
+
+  /// RFC 6298 state of one flow, in integer nanoseconds.
+  struct RttEstimate {
+    sim::TimeNs srtt = 0;
+    sim::TimeNs rttvar = 0;
+  };
+  /// The RTT estimate of flow src -> dst; nullopt before its first sample.
+  std::optional<RttEstimate> flow_rtt(NodeId src, NodeId dst) const;
 
   /// Frames awaiting a cumulative ack across all flows, SACKed ones
   /// included (0 once traffic quiesces).
@@ -217,17 +243,20 @@ class ReliableDevice final : public FilterDevice {
 
   struct Pending {
     Packet frame;               ///< DATA-framed copy, pre-checksum
-    sim::TimeNs first_sent = 0;
+    sim::TimeNs first_sent = 0;  ///< send time of copy 0
     sim::TimeNs last_sent = 0;  ///< the deadline runs from here
+    /// Send time of copy k at [k - 1]; empty for a frame never resent.
+    std::vector<sim::TimeNs> resent_at;
     sim::TimeNs rto = 0;        ///< backed off per timeout resend
     std::uint64_t tx_order = 0;  ///< flow transmission count at last_sent
-    /// tx_order of the first transmission. An ack of a resent frame may
-    /// be for that first copy, so it is the only order the ack proves.
+    /// tx_order of the first transmission. A cumulative or selective ack
+    /// of a resent frame may be for that first copy, so it is the only
+    /// order the ack proves.
     std::uint64_t first_tx_order = 0;
     /// Frames first transmitted after last_sent and acked since: the
     /// fast retransmit fires at kDupThreshold.
     std::uint32_t acked_after = 0;
-    bool retransmitted = false;
+    std::uint8_t tx = 0;  ///< transmission number of the latest copy
     bool on_wire = true;  ///< false while held in quarantine, pre-transmission
     bool sacked = false;  ///< the receiver holds it; never resent
 
@@ -239,6 +268,7 @@ class ReliableDevice final : public FilterDevice {
     std::uint32_t next_seq = 0;
     std::uint64_t next_tx = 0;  ///< transmissions so far, resends included
     std::map<std::uint32_t, Pending> unacked;
+    std::optional<RttEstimate> rtt;  ///< nullopt before the first sample
     /// Fabric time of the first timeout of the current stall (0 = not
     /// stalled); give-up triggers on its age, ack progress clears it.
     sim::TimeNs stall_start = 0;
@@ -257,9 +287,18 @@ class ReliableDevice final : public FilterDevice {
     std::size_t bytes = 0;
   };
 
+  /// The (seq, transmission number) a DATA copy carries and its ACK
+  /// echoes.
+  struct Echo {
+    std::uint32_t seq = 0;
+    std::uint8_t tx = 0;
+  };
+
   /// Frame/sequence/store one outbound packet; returns false when the
   /// frame was quarantine-held and must not reach the wire.
   bool prepare_send(Packet& packet);
+  /// The RTO a frame of `flow` starts with when it is sent now.
+  sim::TimeNs fresh_rto(const SenderFlow& flow) const;
   /// Make sure the flow's timer fires no later than `deadline`.
   void arm_timer(const FlowKey& key, SenderFlow& flow, sim::TimeNs deadline);
   /// Re-arm at the earliest deadline of the flow's resendable frames.
@@ -267,12 +306,16 @@ class ReliableDevice final : public FilterDevice {
   void on_timeout(const FlowKey& key, sim::TimeNs fire_at);
   /// Put one stored frame back on the wire as its latest transmission.
   void transmit(SenderFlow& flow, Pending& pending, sim::TimeNs now);
+  /// Put the next copy of a frame the wire already carried on the wire.
+  void resend(SenderFlow& flow, Pending& pending, sim::TimeNs now);
   void handle_ack(const Packet& packet, std::uint32_t cumulative,
-                  std::uint64_t sack);
-  /// Take the frame's RTT sample(s) on its first ack.
-  void sample_rtt(const Pending& pending, sim::TimeNs now, bool wan);
-  std::optional<Packet> handle_data(Packet&& packet, std::uint32_t seq);
-  void send_ack(NodeId data_src, NodeId data_dst, const ReceiverFlow& flow);
+                  std::uint64_t sack, const std::optional<Echo>& echo);
+  /// Take the ACK's one RTT sample, from the copy its echo names.
+  void sample_rtt(SenderFlow& flow, const Echo& echo, sim::TimeNs now,
+                  bool wan);
+  std::optional<Packet> handle_data(Packet&& packet, Echo echo);
+  void send_ack(NodeId data_src, NodeId data_dst, const ReceiverFlow& flow,
+                Echo echo);
   void clear_flow(const FlowKey& key, SenderFlow& flow);
   void resume_peer(NodeId peer);
   Quarantine* quarantined(NodeId peer);

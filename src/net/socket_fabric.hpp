@@ -130,6 +130,7 @@ class SocketFabric final : public Fabric, public DeviceHost {
   void inject_send(const FilterDevice* from, Packet&& packet) override;
   void inject_receive(const FilterDevice* from, Packet&& packet) override;
   bool host_node_up(NodeId node) const override;
+  void host_locked(const std::function<void()>& fn) override;
   std::optional<NodeId> host_local_node() const override { return self_; }
 
  private:

@@ -44,6 +44,11 @@ bool ThreadFabric::host_node_up(NodeId node) const {
   return !node_up_ || node_up_(node);
 }
 
+void ThreadFabric::host_locked(const std::function<void()>& fn) {
+  std::lock_guard<std::recursive_mutex> lock(mutex_);
+  fn();
+}
+
 void ThreadFabric::enqueue_frames(std::vector<Packet>& wire,
                                   const SendContext& ctx) {
   const sim::TimeNs now = now_ns();

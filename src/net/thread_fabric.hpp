@@ -50,6 +50,7 @@ class ThreadFabric final : public Fabric, public DeviceHost {
   void inject_send(const FilterDevice* from, Packet&& packet) override;
   void inject_receive(const FilterDevice* from, Packet&& packet) override;
   bool host_node_up(NodeId node) const override;
+  void host_locked(const std::function<void()>& fn) override;
 
  private:
   using Clock = std::chrono::steady_clock;

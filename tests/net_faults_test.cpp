@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "apps/stencil/stencil.hpp"
@@ -145,10 +148,27 @@ TEST(FaultDeviceTest, DuplicateEmitsIdenticalTwin) {
 
 // -- reliability over a faulty SimFabric --------------------------------------
 
+/// The wire's one-way delay: `before` until fabric time `at`, `after`
+/// for frames injected from then on.
+class SteppedLatencyModel final : public net::LatencyModel {
+ public:
+  SteppedLatencyModel(sim::TimeNs before, sim::TimeNs at, sim::TimeNs after)
+      : before_(before), at_(at), after_(after) {}
+  sim::TimeNs delivery_delay(net::NodeId, net::NodeId, std::size_t,
+                             sim::TimeNs now) override {
+    return now < at_ ? before_ : after_;
+  }
+
+ private:
+  sim::TimeNs before_;
+  sim::TimeNs at_;
+  sim::TimeNs after_;
+};
+
 struct LossySim {
   sim::Engine engine;
   Topology topo = Topology::two_cluster(4);
-  net::FixedLatencyModel model{sim::microseconds(100)};
+  std::unique_ptr<net::LatencyModel> model;
   std::unique_ptr<SimFabric> fabric;
   net::ReliabilityStack stack;
   obs::MetricRegistry metrics;  ///< fabric-level harness: no Machine to own one
@@ -156,15 +176,22 @@ struct LossySim {
       received;
   sim::TimeNs last_delivery = 0;  ///< fabric time of the latest delivery
 
+  /// A 100 us wire unless `wire` says otherwise; cross-cluster frames
+  /// additionally wait `wan_delay` in a delay device.
   explicit LossySim(const FaultConfig& faults,
-                    sim::TimeNs rto = sim::microseconds(500)) {
+                    sim::TimeNs rto = sim::microseconds(500),
+                    std::unique_ptr<net::LatencyModel> wire = nullptr,
+                    sim::TimeNs wan_delay = 0)
+      : model(wire != nullptr ? std::move(wire)
+                              : std::make_unique<net::FixedLatencyModel>(
+                                    sim::microseconds(100))) {
     Chain chain;
     ReliableConfig rel;
     rel.rto_initial = rto;
     stack = net::install_reliability_stack(chain, &topo, rel, faults,
-                                           /*cross_cluster_delay=*/0);
+                                           wan_delay);
     net::register_metrics(metrics, stack);
-    fabric = std::make_unique<SimFabric>(&engine, &topo, &model,
+    fabric = std::make_unique<SimFabric>(&engine, &topo, model.get(),
                                          std::move(chain));
     for (net::NodeId n = 0; n < 4; ++n) {
       fabric->set_delivery_handler(n, [this, n](Packet&& p) {
@@ -276,8 +303,15 @@ TEST(ReliableSimTest, AckRttIsMeasured) {
 }
 
 // -- selective repeat: per-frame deadlines, SACK, fast retransmit ------------
-// LossySim's wire is 100 us each way (RTT 200 us) with a 500 us RTO.
+// LossySim's wire is 100 us each way (RTT 200 us). A flow starts with a
+// 500 us RTO; once acks have sampled the round trip, its frames start
+// with SRTT + max(1 ms, 4 RTTVAR), 1.2 ms on this wire.
 // Nodes 0 and 1 sit in cluster 0, nodes 2 and 3 in cluster 1.
+
+/// The RTO a flow's new frames start with, from its estimate.
+sim::TimeNs estimated_rto(const net::ReliableDevice::RttEstimate& rtt) {
+  return rtt.srtt + std::max(sim::milliseconds(1.0), 4 * rtt.rttvar);
+}
 
 /// A wire that loses exactly the frames sent on the directed cluster
 /// pair (src, dst) during [start, end) and nothing else.
@@ -338,8 +372,12 @@ TEST(ReliableSimTest, OneTimeoutBacksOffOnlyTheLostFrame) {
   // before frame 0's deadline, so 24 frames are unacked when it expires
   // at 500 us. Only frame 0 may back off: a flow-wide backoff per
   // overdue frame would stretch every neighbour toward rto_max and,
-  // under a give-up budget, abandon a healthy flow.
+  // under a give-up budget, abandon a healthy flow. Every other frame
+  // keeps the RTO it was sent with: 500 us for frames 1 and 2, sent
+  // before any sample, and the estimate's 1.2 ms for frames 3 on, sent
+  // after the acks of frames 1 and 2 sampled the 200 us round trip.
   const sim::TimeNs rto = sim::microseconds(500);
+  const sim::TimeNs estimate = sim::microseconds(1200);
   const sim::TimeNs late = sim::microseconds(450);
   LossySim sim(lose_during(0, 0, 0, 1), rto);
   for (int i = 0; i < 3; ++i) sim.send_at(i, 0, 1, std::to_string(i));
@@ -355,12 +393,12 @@ TEST(ReliableSimTest, OneTimeoutBacksOffOnlyTheLostFrame) {
   EXPECT_EQ(at_expiry[0].deadline, rto + 2 * rto);
   EXPECT_TRUE(at_expiry[1].sacked);
   EXPECT_TRUE(at_expiry[2].sacked);
-  for (std::size_t i = 1; i < at_expiry.size(); ++i) {
-    EXPECT_EQ(at_expiry[i].rto, rto) << "frame " << i;
-  }
+  EXPECT_EQ(at_expiry[1].rto, rto);
+  EXPECT_EQ(at_expiry[2].rto, rto);
   for (std::size_t i = 3; i < at_expiry.size(); ++i) {
+    EXPECT_EQ(at_expiry[i].rto, estimate) << "frame " << i;
     EXPECT_EQ(at_expiry[i].deadline,
-              late + static_cast<sim::TimeNs>(i) + rto)
+              late + static_cast<sim::TimeNs>(i) + estimate)
         << "frame " << i;
   }
   const auto& c = sim.stack.reliable->counters();
@@ -369,6 +407,132 @@ TEST(ReliableSimTest, OneTimeoutBacksOffOnlyTheLostFrame) {
   EXPECT_EQ(c.flows_abandoned, 0u);
   EXPECT_EQ(c.duplicates_suppressed, 0u);
   EXPECT_EQ((sim.received[{0, 1}]), numbered(24));
+}
+
+TEST(ReliableSimTest, EachFlowTimesOutOnItsOwnRoundTrip) {
+  // One device sends on a SAN flow (0 -> 1, 200 us round trip) and a WAN
+  // flow (0 -> 2, 10.2 ms through a 5 ms delay device). Once a few acks
+  // have come back on each, a new frame starts with its own flow's
+  // SRTT + max(1 ms, 4 RTTVAR): about 1.2 ms on the SAN, about 19 ms on
+  // the WAN. One RTO for both would either resend every WAN frame or
+  // leave a SAN loss unrepaired for a WAN round trip.
+  // A 20 ms first RTO, so no frame is resent before its flow's first
+  // sample.
+  LossySim sim(FaultConfig{}, sim::milliseconds(20.0), nullptr,
+               /*wan_delay=*/sim::milliseconds(5.0));
+  for (int i = 0; i < 4; ++i) {
+    sim.send_at(i, 0, 1, "san-" + std::to_string(i));
+    sim.send_at(i, 0, 2, "wan-" + std::to_string(i));
+  }
+  const sim::TimeNs later = sim::milliseconds(50.0);
+  sim.send_at(later, 0, 1, "san-4");
+  sim.send_at(later, 0, 2, "wan-4");
+  std::vector<net::ReliableDevice::FrameTimer> san;
+  std::vector<net::ReliableDevice::FrameTimer> wan;
+  std::optional<net::ReliableDevice::RttEstimate> san_rtt;
+  std::optional<net::ReliableDevice::RttEstimate> wan_rtt;
+  sim.engine.schedule_at(later, [&] {
+    san = sim.stack.reliable->flow_frames(0, 1);
+    wan = sim.stack.reliable->flow_frames(0, 2);
+    san_rtt = sim.stack.reliable->flow_rtt(0, 1);
+    wan_rtt = sim.stack.reliable->flow_rtt(0, 2);
+  });
+  sim.engine.run();
+
+  ASSERT_TRUE(san_rtt.has_value());
+  ASSERT_TRUE(wan_rtt.has_value());
+  EXPECT_EQ(san_rtt->srtt, sim::microseconds(200));
+  EXPECT_EQ(wan_rtt->srtt, sim::microseconds(10200));
+  ASSERT_EQ(san.size(), 1u);
+  ASSERT_EQ(wan.size(), 1u);
+  EXPECT_EQ(san[0].rto, estimated_rto(*san_rtt));
+  EXPECT_EQ(wan[0].rto, estimated_rto(*wan_rtt));
+  EXPECT_EQ(san[0].rto, sim::microseconds(1200));
+  EXPECT_GT(wan[0].rto, sim::milliseconds(15.0));
+  EXPECT_LT(wan[0].rto, sim::milliseconds(20.0));
+  EXPECT_EQ(sim.stack.reliable->counters().retransmits, 0u);
+  EXPECT_EQ((sim.received[{0, 1}].size()), 5u);
+  EXPECT_EQ((sim.received[{0, 2}].size()), 5u);
+}
+
+TEST(ReliableSimTest, AckOfTheFirstCopyOfAResentFrameSamplesThatCopy) {
+  // A 150 us RTO under the 200 us round trip: frame 0 is resent at
+  // 150 us, and the ack of its first copy arrives at 200 us echoing
+  // copy 0. That proves the resend spurious and samples copy 0's own
+  // round trip. Copy 1 reaches the receiver as a duplicate; its ack
+  // names a frame already acked and samples nothing.
+  LossySim sim(FaultConfig{}, /*rto=*/sim::microseconds(150));
+  sim.send_at(0, 0, 2, "0");
+  sim.engine.run();
+
+  const auto& c = sim.stack.reliable->counters();
+  EXPECT_EQ(c.retransmits, 1u);
+  EXPECT_EQ(c.spurious_retransmits, 1u);
+  EXPECT_EQ(c.duplicates_suppressed, 1u);
+  const RunningStats& rtt = sim.stack.reliable->ack_rtt_ns();
+  EXPECT_EQ(rtt.count(), 1u);
+  EXPECT_EQ(rtt.max(), static_cast<double>(sim::microseconds(200)));
+  const auto est = sim.stack.reliable->flow_rtt(0, 2);
+  ASSERT_TRUE(est.has_value());
+  EXPECT_EQ(est->srtt, sim::microseconds(200));
+  EXPECT_EQ(sim.stack.reliable->wan_ack_rtt_ns().count(), 1u);
+  EXPECT_EQ((sim.received[{0, 2}]), numbered(1));
+}
+
+TEST(ReliableSimTest, SpuriousResendsStopSoonAfterTheRttStepsUp) {
+  // Loss-free SAN flow 0 -> 1, one frame every 50 us. At 5 ms the wire
+  // slows from 100 us to 1 ms each way: the round trip steps up 10x,
+  // from 200 us to 2 ms. Frames sent before the first slow ack returns
+  // (1 ms after the step) carry the old 1.2 ms RTO and are resent. The
+  // acks then raise the estimate: a handful of acks later, new frames
+  // start with an RTO above 2 ms and nothing more is resent.
+  const sim::TimeNs gap = sim::microseconds(50);
+  const sim::TimeNs step = sim::milliseconds(5.0);
+  const sim::TimeNs slow_rtt = sim::milliseconds(2.0);
+  LossySim sim(FaultConfig{}, sim::microseconds(500),
+               std::make_unique<SteppedLatencyModel>(
+                   sim::microseconds(100), step, slow_rtt / 2));
+  struct Sent {
+    sim::TimeNs at = 0;
+    sim::TimeNs rto = 0;
+    std::uint64_t acks = 0;  ///< acks received before this frame left
+  };
+  std::vector<Sent> sent;
+  const int frames = 400;  // 20 ms
+  for (int i = 0; i < frames; ++i) {
+    const sim::TimeNs at = gap * i;
+    sim.engine.schedule_at(at, [&sim, &sent, at, i] {
+      const std::uint64_t acks =
+          sim.stack.reliable->counters().acks_received;
+      sim.fabric->send(text_packet(0, 1, std::to_string(i)));
+      sent.push_back({at, sim.stack.reliable->flow_frames(0, 1).back().rto,
+                      acks});
+    });
+  }
+  sim.engine.run();
+
+  const auto& c = sim.stack.reliable->counters();
+  ASSERT_EQ(sent.size(), static_cast<std::size_t>(frames));
+  EXPECT_EQ((sim.received[{0, 1}]), numbered(frames));
+  // Half a millisecond after the step every fast ack is in, and no ack
+  // that left the receiver after the step is.
+  const auto first_after_step = static_cast<std::size_t>(step / gap);
+  const std::uint64_t fast_acks = sent[first_after_step + 10].acks;
+  // The first frame whose RTO covers the new round trip.
+  std::size_t adapted = first_after_step;
+  while (adapted < sent.size() && sent[adapted].rto <= slow_rtt) ++adapted;
+  ASSERT_LT(adapted, sent.size());
+  EXPECT_LE(sent[adapted].acks - fast_acks, 5u)
+      << "slow acks before the RTO covered the new round trip";
+  for (std::size_t i = adapted; i < sent.size(); ++i) {
+    EXPECT_GT(sent[i].rto, slow_rtt) << "frame " << i;
+  }
+  // Only frames sent between the step and the adaptation were resent,
+  // each once, and the echo proved every resend spurious.
+  EXPECT_GT(c.retransmits, 0u);
+  EXPECT_LE(c.retransmits, adapted - first_after_step);
+  EXPECT_EQ(c.spurious_retransmits, c.retransmits);
+  EXPECT_EQ(c.duplicates_suppressed, c.retransmits);
 }
 
 TEST(ReliableSimTest, LateAckOfAResentFrameIsNoEvidenceOfLoss) {
@@ -414,41 +578,52 @@ TEST(ReliableDeviceTest, AckWithMalformedSackChangesNoFlowState) {
   ASSERT_EQ(batch.size(), 1u);
   receiver.receive_transform(std::move(batch[0]));
   ASSERT_EQ(host.sent.size(), 1u);
-  // The receiver's genuine ack for frame 0 ends in its 8-byte SACK map.
+  // The receiver's genuine ack for frame 0: the 8-byte header, then a
+  // 12-byte body of the 8-byte SACK map and the 4-byte echoed seq.
   const Packet ack = host.sent[0];
-  const std::size_t header = ack.payload.size() - sizeof(std::uint64_t);
+  const std::size_t header = 8;
+  ASSERT_EQ(ack.payload.size(), header + 12);
 
-  for (std::size_t sack_bytes : {1, 4, 7, 9, 16}) {
+  // 8 bytes is a SACK map with no echo; 9-11 truncate the echo.
+  const std::vector<std::size_t> bad_bodies{1, 4, 7, 8, 9, 10, 11, 13, 16};
+  for (std::size_t body : bad_bodies) {
     Packet bad = ack;
-    bad.payload.resize(header + sack_bytes);
+    bad.payload.resize(header + body);
     EXPECT_FALSE(sender.receive_transform(std::move(bad)).has_value());
   }
-  EXPECT_EQ(sender.counters().malformed_dropped, 5u);
+  EXPECT_EQ(sender.counters().malformed_dropped, bad_bodies.size());
   EXPECT_EQ(sender.counters().acks_received, 0u);
+  EXPECT_EQ(sender.ack_rtt_ns().count(), 0u);
+  EXPECT_FALSE(sender.flow_rtt(0, 2).has_value());
   const auto frames = sender.flow_frames(0, 2);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_FALSE(frames[0].sacked);
   EXPECT_EQ(frames[0].rto, ReliableConfig{}.rto_initial);
 
-  // No SACK map at all is a pure cumulative ack, and valid.
+  // No body at all is a pure cumulative ack, and valid; it echoes
+  // nothing, so it takes no RTT sample.
   Packet cumulative_only = ack;
   cumulative_only.payload.resize(header);
   sender.receive_transform(std::move(cumulative_only));
   EXPECT_EQ(sender.counters().acks_received, 1u);
-  EXPECT_EQ(sender.counters().malformed_dropped, 5u);
+  EXPECT_EQ(sender.counters().malformed_dropped, bad_bodies.size());
+  EXPECT_EQ(sender.ack_rtt_ns().count(), 0u);
   EXPECT_EQ(sender.unacked_frames(), 0u);
 }
 
 TEST(ReliableSimTest, FramesHeldBehindAHoleSampleRttWhenSacked) {
-  // Frame 0 is lost and resent, so Karn's rule gives it no sample. The
-  // five frames behind it each sample one clean 200 us round trip when
-  // first SACKed, not the ~400 us until the cumulative point passes them.
+  // Frame 0 is lost. The five frames behind it each sample one clean
+  // 200 us round trip when first SACKed, not the ~400 us until the
+  // cumulative point passes them. The fast retransmit of frame 0 samples
+  // too: its ack echoes the resent copy, so the sample is that copy's
+  // own 200 us round trip.
   LossySim sim(lose_during(0, 1, 0, 1));
   for (int i = 0; i < 6; ++i) sim.send_at(i, 0, 2, std::to_string(i));
   sim.engine.run();
 
   const RunningStats& rtt = sim.stack.reliable->ack_rtt_ns();
-  EXPECT_EQ(rtt.count(), 5u);
+  EXPECT_EQ(sim.stack.reliable->counters().retransmits, 1u);
+  EXPECT_EQ(rtt.count(), 6u);
   EXPECT_NEAR(rtt.max(), static_cast<double>(sim::microseconds(200)),
               static_cast<double>(sim::microseconds(10)));
   EXPECT_EQ((sim.received[{0, 2}]), numbered(6));

@@ -231,9 +231,10 @@ TEST(ReliableGiveUp, DeadPeerTriggersUnreachableCallback) {
 }
 
 TEST(ReliableGiveUp, TenXSlowerLinkDoesNotExhaustTimeBudget) {
-  // Regression for the time-based give-up: the RTO assumes a link 10x
-  // faster than reality (rto_initial = RTT/10), so every frame is
-  // retransmitted several times before its ack can possibly return. A
+  // Regression for the time-based give-up: the first RTO assumes a link
+  // 10x faster than reality (rto_initial = RTT/10), so every frame sent
+  // before its flow's first RTT sample is retransmitted several times
+  // before its ack can possibly return. A
   // retry-count budget reads that as an unreachable peer; the time
   // budget only starts its stall clock at the first no-progress timeout
   // and resets it on ack progress, so the flow survives and delivery
