@@ -140,7 +140,7 @@ class FaultTolerance {
   sim::TimeNs last_checkpoint_cost_ = 0;
 
   // Detector state: written from fabric context (DES callback or the
-  // ThreadFabric dispatcher thread), read from host context.
+  // SocketFabric network thread), read from host context.
   mutable std::mutex mutex_;
   std::vector<bool> flagged_;            ///< dead since last recover()
   std::vector<sim::TimeNs> flagged_at_;

@@ -129,7 +129,7 @@ class Machine {
   virtual void advance_time(sim::TimeNs) {}
 
   /// Run `fn` after `dt` of machine time on the machine's own loop,
-  /// outside any PE context: a DES event (Sim), the fabric dispatcher
+  /// outside any PE context: a DES event (Sim), the fabric's network
   /// thread (Thread), or the posting process's network thread (Process;
   /// calls before the fork are replayed in every process). Used by the
   /// quiescence detector to pace its waves, by scenario link drifts, and

@@ -25,7 +25,7 @@ ThreadMachine::ThreadMachine(net::Topology topo,
       options_(options),
       model_(&topo_, link),
       start_(std::chrono::steady_clock::now()) {
-  fabric_ = std::make_unique<net::ThreadFabric>(&topo_, &model_, net::Chain{});
+  fabric_ = std::make_unique<net::SocketFabric>(&topo_, &model_, net::Chain{});
   fabric_->set_node_up_probe(
       [this](net::NodeId node) { return pe_alive(static_cast<Pe>(node)); });
   workers_.reserve(topo_.num_nodes());
@@ -42,6 +42,7 @@ ThreadMachine::ThreadMachine(net::Topology topo,
   parking_.set_resend([this](Envelope&& env) { route(std::move(env)); });
   net::register_fabric_metrics(metrics_, *fabric_);
   register_core_metrics(metrics_);
+  fabric_->start();
   for (std::size_t pe = 0; pe < workers_.size(); ++pe) {
     workers_[pe]->thread =
         std::thread([this, pe] { worker_loop(static_cast<Pe>(pe)); });

@@ -1,6 +1,7 @@
 #pragma once
 // ThreadMachine: one OS thread per PE, real wall-clock time, and a
-// ThreadFabric that holds cross-node packets for their modeled delay.
+// SocketFabric hosting every node, whose network thread holds cross-node
+// packets for their modeled delay.
 // Used by the examples and integration tests; the benchmark sweeps use
 // SimMachine (deterministic virtual time) instead.
 
@@ -15,7 +16,7 @@
 #include "core/run_queue.hpp"
 #include "core/wall_clock.hpp"
 #include "net/latency_model.hpp"
-#include "net/thread_fabric.hpp"
+#include "net/socket_fabric.hpp"
 #include "obs/mpsc_ring.hpp"
 
 namespace mdo::core {
@@ -39,7 +40,7 @@ class ThreadMachine final : public Machine {
   /// abandoned retransmission flow would strand quiescence accounting.
   void kill_pe(Pe pe) override;
 
-  net::ThreadFabric& fabric() { return *fabric_; }
+  net::SocketFabric& fabric() { return *fabric_; }
 
   // -- Machine interface --------------------------------------------------
   Pe current_pe() const override;
@@ -48,7 +49,7 @@ class ThreadMachine final : public Machine {
   void run() override;
   void stop() override;
   PeStats pe_stats(Pe pe) const override;
-  /// Runs on the fabric dispatcher thread, serialized with device work.
+  /// Runs on the fabric's network thread, serialized with device work.
   void call_after(sim::TimeNs dt, std::function<void()> fn) override {
     fabric_->host_schedule(dt, std::move(fn));
   }
@@ -120,7 +121,7 @@ class ThreadMachine final : public Machine {
 
   MachineOptions options_;
   net::GridLatencyModel model_;
-  std::unique_ptr<net::ThreadFabric> fabric_;
+  std::unique_ptr<net::SocketFabric> fabric_;
 
   std::vector<std::unique_ptr<PeWorker>> workers_;
   std::atomic<std::uint64_t> next_seq_{0};

@@ -44,7 +44,7 @@ void AdaptiveController::attach(const ReliabilityStack& stack,
     config_.detector_clamp = stack.heartbeat->config().period / 2;
   }
 
-  // Observation sources — all fabric-context producers, so a dispatcher
+  // Observation sources — all fabric-context producers, so a network
   // thread tick can snapshot them without racing worker threads.
   if (reliable_ != nullptr) register_metrics(inputs_, *reliable_);
   if (coalesce_ != nullptr) register_metrics(inputs_, *coalesce_);

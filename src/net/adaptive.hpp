@@ -10,8 +10,8 @@
 // The controller is installed as a *chain controller*: a pass-through
 // FilterDevice (it never touches a packet) whose only reason to sit in
 // the chain is the DeviceHost binding — fabric timers under a SimFabric
-// are deterministic engine events, and under a ThreadFabric they run on
-// the dispatcher thread that already owns the chain mutex, so every knob
+// are deterministic engine events, and under a SocketFabric they run on
+// the network thread that already owns the chain mutex, so every knob
 // mutation is serialized against the sends that read the knobs.
 //
 // Each sample period the controller snapshots a *private* registry fed
@@ -160,7 +160,7 @@ class AdaptiveController final : public FilterDevice {
   };
   /// Counters and the knob gauges below are read live by host threads —
   /// tests and the `net.adaptive` metrics source — while ticks mutate
-  /// them on the dispatcher thread under a ThreadFabric, so every reader
+  /// them on the network thread under a SocketFabric, so every reader
   /// snapshots under `state_mutex_` (uncontended, and trivially so under
   /// a SimFabric where everything is one thread).
   Counters counters() const {
@@ -213,7 +213,7 @@ class AdaptiveController final : public FilterDevice {
   ReliableDevice* reliable_ = nullptr;
 
   /// Private observation registry: only fabric-context sources, so
-  /// snapshotting from a dispatcher-thread tick never races.
+  /// snapshotting from a network-thread tick never races.
   obs::MetricRegistry inputs_;
 
   // Static baselines captured at attach().

@@ -41,13 +41,6 @@ std::optional<Packet> Chain::apply_receive(Packet&& packet) {
   return current;
 }
 
-std::vector<Packet> Chain::apply_send_below(const FilterDevice* from,
-                                            Packet&& packet, SendContext& ctx) {
-  std::vector<Packet> packets;
-  apply_send_below(from, std::move(packet), ctx, packets);
-  return packets;
-}
-
 void Chain::apply_send_below(const FilterDevice* from, Packet&& packet,
                              SendContext& ctx, std::vector<Packet>& out) {
   out.clear();

@@ -51,9 +51,8 @@ class Chain {
   /// Run `packet` down the send path starting just below `from` — the
   /// entry point for device-originated traffic (acks, retransmissions),
   /// which must still traverse checksum/fault/delay devices nearer the
-  /// wire but not the devices above the originator.
-  std::vector<Packet> apply_send_below(const FilterDevice* from,
-                                       Packet&& packet, SendContext& ctx);
+  /// wire but not the devices above the originator. Builds into `out`
+  /// (cleared first), like the reusing apply_send.
   void apply_send_below(const FilterDevice* from, Packet&& packet,
                         SendContext& ctx, std::vector<Packet>& out);
 
@@ -64,7 +63,6 @@ class Chain {
 
   std::size_t size() const { return devices_.size(); }
   bool empty() const { return devices_.empty(); }
-  FilterDevice& device(std::size_t i) { return *devices_.at(i); }
 
  private:
   std::size_t index_of(const FilterDevice* device) const;

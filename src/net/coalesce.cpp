@@ -192,8 +192,8 @@ void CoalesceDevice::on_timer(const PairKey& key) {
 
 void CoalesceDevice::flush_source(NodeId src) {
   if (host_ == nullptr) return;
-  // Hop into fabric context: under a ThreadFabric the buffers are only
-  // ever touched on the dispatcher thread; under a SimFabric this just
+  // Hop into fabric context: under a SocketFabric the buffers are only
+  // ever touched on the network thread; under a SimFabric this just
   // defers the flush into an engine event at the current time.
   host_->host_schedule(0, [this, src] { on_idle_flush(src); });
 }

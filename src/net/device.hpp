@@ -28,8 +28,9 @@ class FilterDevice;
 /// (the reliability device) need more than pure payload transforms: they
 /// originate packets of their own (acks, retransmissions), complete
 /// buffered packets later, and pace timers. The fabric that owns the
-/// chain implements this interface; time is virtual under a SimFabric
-/// and wall-clock under a ThreadFabric, so devices stay backend-agnostic.
+/// chain implements this interface (net::Fabric); time is virtual under
+/// a SimFabric and wall-clock under a SocketFabric, so devices stay
+/// backend-agnostic.
 class DeviceHost {
  public:
   virtual ~DeviceHost() = default;
@@ -38,7 +39,7 @@ class DeviceHost {
   virtual sim::TimeNs host_now() const = 0;
 
   /// Run `fn` after `dt` of fabric time. `fn` runs in fabric context
-  /// (DES callback / dispatcher thread) with exclusive chain access.
+  /// (DES callback / network thread) with exclusive chain access.
   virtual void host_schedule(sim::TimeNs dt, std::function<void()> fn) = 0;
 
   /// Transmit `packet` through the devices strictly below `from` and out
@@ -58,11 +59,11 @@ class DeviceHost {
   virtual bool host_node_up(NodeId) const { return true; }
 
   /// The single node this host acts for, if the fabric spans only one.
-  /// Shared-address-space fabrics (SimFabric, ThreadFabric) host every
-  /// node behind one chain and return nullopt; a SocketFabric hosts
-  /// exactly one process-local node, and devices that act *on behalf of*
-  /// nodes (the heartbeat emitter/monitor loops) must restrict themselves
-  /// to it instead of impersonating remote peers.
+  /// A fabric that hosts every node behind one chain (SimFabric, and the
+  /// SocketFabric under ThreadMachine) returns nullopt; ProcessMachine's
+  /// SocketFabric hosts exactly one process-local node, and devices that
+  /// act *on behalf of* nodes (the heartbeat emitter/monitor loops) must
+  /// restrict themselves to it instead of impersonating remote peers.
   virtual std::optional<NodeId> host_local_node() const { return std::nullopt; }
 
   /// Run `fn` with exclusive chain access from outside fabric context,

@@ -71,7 +71,7 @@ class FaultDevice final : public FilterDevice {
 
   /// Manually raise/heal a directed cluster-pair partition, independent
   /// of any scheduled windows. Thread-safe: chaos tests drive this from
-  /// the host thread while a ThreadFabric dispatcher is delivering.
+  /// the host thread while a SocketFabric network thread is delivering.
   void set_partition_active(ClusterId src, ClusterId dst, bool active);
 
   /// True if a scheduled window or manual toggle currently severs the

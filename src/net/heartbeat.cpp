@@ -77,8 +77,8 @@ void HeartbeatDevice::watch(sim::TimeNs horizon) {
   // on the fabric may fire between here and begin_watch, and it must not
   // judge liveness timestamps that predate the idle gap.
   grace_.store(true, std::memory_order_release);
-  // Hop into fabric context: under a ThreadFabric the detector state is
-  // only ever touched on the dispatcher thread; under a SimFabric this
+  // Hop into fabric context: under a SocketFabric the detector state is
+  // only ever touched on the network thread; under a SimFabric this
   // just defers arming until the engine runs.
   host_->host_schedule(0, [this, horizon] { begin_watch(horizon); });
 }
@@ -127,7 +127,7 @@ void HeartbeatDevice::emit_beats() {
   const auto n = static_cast<NodeId>(topo_->num_nodes());
   const std::optional<NodeId> local = host_->host_local_node();
   for (NodeId j = 0; j < n; ++j) {
-    // On a single-node host (SocketFabric) this process may only beat
+    // On a single-node host (ProcessMachine) this process may only beat
     // for itself; beating on behalf of remote peers would keep their
     // monitors fed even after the real process died.
     if (local && *local != j) continue;
@@ -281,7 +281,7 @@ void HeartbeatDevice::emit_probes(NodeId suspect) {
 
 void HeartbeatDevice::disseminate_death(NodeId target) {
   // On a shared-fabric host (Sim/Thread) there is one detector and its
-  // verdict is already global. On a single-node host (SocketFabric) only
+  // verdict is already global. On a single-node host (Process) only
   // the monitor heard the silence: every other process must be told, or
   // their detectors — including the host process the application polls —
   // would stay ignorant forever (they are not the monitor and judge

@@ -93,8 +93,8 @@ class HeartbeatDevice final : public FilterDevice {
   void watch(sim::TimeNs horizon);
 
   /// Fired at most once per node, on *confirmed* death only, from fabric
-  /// context (the DES callback thread under SimFabric, the dispatcher
-  /// thread under ThreadFabric).
+  /// context (the DES callback thread under SimFabric, the network
+  /// thread under SocketFabric).
   using PeerDeadFn = std::function<void(NodeId node, sim::TimeNs when)>;
   void set_on_peer_dead(PeerDeadFn fn) { on_peer_dead_ = std::move(fn); }
 

@@ -89,24 +89,26 @@ std::optional<Packet> FrameDecoder::next() {
 // -- SocketFabric --------------------------------------------------------
 
 SocketFabric::SocketFabric(const Topology* topo, LatencyModel* model,
+                           Chain chain)
+    : Fabric(topo, model, std::move(chain), std::nullopt, &mutex_),
+      epoch_(Clock::now()) {
+  open_wake_pipe();
+}
+
+SocketFabric::SocketFabric(const Topology* topo, LatencyModel* model,
                            Chain chain, NodeId self,
                            std::vector<int> peer_fds, Clock::time_point epoch)
-    : topo_(topo),
-      model_(model),
-      chain_(std::move(chain)),
-      self_(self),
-      epoch_(epoch) {
-  MDO_CHECK(topo_ != nullptr && model_ != nullptr);
-  MDO_CHECK(self_ >= 0 &&
-            static_cast<std::size_t>(self_) < topo_->num_nodes());
-  MDO_CHECK(peer_fds.size() == topo_->num_nodes());
-  chain_.set_host(this);
-  handlers_.resize(topo_->num_nodes());
-  peers_.resize(topo_->num_nodes());
+    : Fabric(topo, model, std::move(chain), self, &mutex_), epoch_(epoch) {
+  MDO_CHECK(peer_fds.size() == topo->num_nodes());
+  MDO_CHECK(peer_fds[static_cast<std::size_t>(self)] < 0);
+  peers_.resize(peer_fds.size());
   for (std::size_t j = 0; j < peer_fds.size(); ++j) {
     peers_[j].fd = peer_fds[j];
   }
-  MDO_CHECK(peers_[static_cast<std::size_t>(self_)].fd < 0);
+  open_wake_pipe();
+}
+
+void SocketFabric::open_wake_pipe() {
   int pipe_fds[2];
   MDO_CHECK_MSG(::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) == 0,
                 "socket fabric: pipe2 failed");
@@ -118,15 +120,15 @@ SocketFabric::~SocketFabric() { shutdown(); }
 
 void SocketFabric::start() {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
-  MDO_CHECK(!network_.joinable() && !stop_);
+  MDO_CHECK(!network_.joinable() && !stopped_);
   network_ = std::thread([this] { network_loop(); });
 }
 
 void SocketFabric::shutdown() {
   {
     std::lock_guard<std::recursive_mutex> lock(mutex_);
-    if (stop_) return;
-    stop_ = true;
+    if (stopped_) return;
+    stopped_ = true;
   }
   wake();
   if (network_.joinable()) network_.join();
@@ -150,143 +152,27 @@ void SocketFabric::wake() {
   }
 }
 
-void SocketFabric::set_delivery_handler(NodeId node, DeliverFn handler) {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  MDO_CHECK(node == self_);
-  handlers_[static_cast<std::size_t>(node)] = std::move(handler);
-}
-
-void SocketFabric::set_node_up_probe(NodeUpProbe probe) {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  node_up_ = std::move(probe);
-}
-
-bool SocketFabric::host_node_up(NodeId node) const {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  return !node_up_ || node_up_(node);
-}
-
-void SocketFabric::host_locked(const std::function<void()>& fn) {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  fn();
-}
-
-void SocketFabric::enqueue_frames(std::vector<Packet>& wire,
-                                  const SendContext& ctx) {
-  const sim::TimeNs now = now_ns();
-  for (auto& frame : wire) {
-    // Fail-stop crash model, same as ThreadFabric: a dead node's frames
-    // never reach the wire. Here src is always the local node, so this
-    // only fires once the local PE itself has been declared dead.
-    if (node_up_ && !node_up_(frame.src)) {
-      ++stats_.dead_node_drops;
-      continue;
-    }
-    ++stats_.wire_frames;
-    if (!topo_->same_cluster(frame.src, frame.dst)) ++stats_.wan_wire_frames;
-    sim::TimeNs enter_net = now + ctx.extra_delay + frame.hold_ns;
-    frame.hold_ns = 0;
-    sim::TimeNs net_delay = model_->delivery_delay(
-        frame.src, frame.dst, frame.payload.size(), enter_net);
-    Clock::time_point due =
-        epoch_ + std::chrono::nanoseconds(enter_net + net_delay);
-    pending_.push(Timed{due, next_seq_++, std::move(frame)});
-  }
-}
-
-sim::TimeNs SocketFabric::send(Packet&& packet) {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  MDO_CHECK(!stop_);
-  packet.id = next_id_++;
-  packet.inject_time = now_ns();
-
-  ++stats_.packets_sent;
-  stats_.bytes_sent += packet.payload.size();
-  if (!topo_->same_cluster(packet.src, packet.dst)) {
-    ++stats_.wan_packets;
-    stats_.wan_bytes += packet.payload.size();
-  }
-
-  SendContext ctx;
-  send_through(nullptr, std::move(packet), ctx);
+void SocketFabric::hold(sim::TimeNs due, Packet&& frame) {
+  pending_.push(
+      Timed{epoch_ + std::chrono::nanoseconds(due), next_seq_++,
+            std::move(frame)});
   wake();
-  return ctx.cpu_cost;
-}
-
-void SocketFabric::inject_send(const FilterDevice* from, Packet&& packet) {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  if (stop_) return;
-  ++stats_.frames_injected;
-  SendContext ctx;
-  send_through(from, std::move(packet), ctx);
-  wake();
-}
-
-void SocketFabric::send_through(const FilterDevice* below, Packet&& packet,
-                                SendContext& ctx) {
-  if (wire_busy_) {
-    std::vector<Packet> wire =
-        below == nullptr
-            ? chain_.apply_send(std::move(packet), ctx)
-            : chain_.apply_send_below(below, std::move(packet), ctx);
-    enqueue_frames(wire, ctx);
-    return;
-  }
-  wire_busy_ = true;
-  if (below == nullptr) {
-    chain_.apply_send(std::move(packet), ctx, wire_scratch_);
-  } else {
-    chain_.apply_send_below(below, std::move(packet), ctx, wire_scratch_);
-  }
-  enqueue_frames(wire_scratch_, ctx);
-  wire_scratch_.clear();
-  wire_busy_ = false;
-}
-
-void SocketFabric::inject_receive(const FilterDevice* from, Packet&& packet) {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  if (stop_) return;
-  std::optional<Packet> complete =
-      chain_.apply_receive_above(from, std::move(packet));
-  if (!complete.has_value()) return;
-  ++stats_.packets_delivered;
-  DeliverFn handler = handlers_[static_cast<std::size_t>(complete->dst)];
-  MDO_CHECK_MSG(static_cast<bool>(handler), "no delivery handler registered");
-  // Called with the fabric mutex held (nested inside a chain transform);
-  // same contract as ThreadFabric.
-  handler(std::move(*complete));
 }
 
 void SocketFabric::host_schedule(sim::TimeNs dt, std::function<void()> fn) {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
-  if (stop_) return;
+  if (stopped_) return;
   Clock::time_point due = Clock::now() + std::chrono::nanoseconds(dt);
   timers_.push(Timer{due, next_seq_++, std::move(fn)});
   wake();
 }
 
-void SocketFabric::deliver_complete(
-    Packet&& packet, std::unique_lock<std::recursive_mutex>& lock) {
-  std::optional<Packet> complete = chain_.apply_receive(std::move(packet));
-  if (!complete.has_value()) return;
-  ++stats_.packets_delivered;
-  MDO_CHECK(complete->dst == self_);
-  DeliverFn handler = handlers_[static_cast<std::size_t>(complete->dst)];
-  MDO_CHECK_MSG(static_cast<bool>(handler), "no delivery handler registered");
-  // Deliver outside the lock: the handler enqueues into the machine's
-  // mailbox, which takes its own lock and may race with concurrent
-  // send().
-  lock.unlock();
-  handler(std::move(*complete));
-  lock.lock();
-}
-
 void SocketFabric::route_due_frame(
     Packet&& packet, std::unique_lock<std::recursive_mutex>& lock) {
-  if (packet.dst == self_) {
-    // Loopback traffic travels through the same deadline queue as remote
-    // traffic (delay devices apply), then straight up the receive chain.
-    deliver_complete(std::move(packet), lock);
+  if (hosts(packet.dst)) {
+    // Every frame when this fabric hosts every node, loopback otherwise:
+    // it has served its deadline and runs straight up the receive chain.
+    arrive(std::move(packet), &lock);
     return;
   }
   Peer& peer = peers_[static_cast<std::size_t>(packet.dst)];
@@ -384,7 +270,7 @@ void SocketFabric::read_peer(std::size_t index,
     }
     peer.decoder.feed({buf.data(), static_cast<std::size_t>(n)});
     while (auto frame = peer.decoder.next()) {
-      deliver_complete(std::move(*frame), lock);
+      arrive(std::move(*frame), &lock);
       if (peer.fd < 0) return;  // handler raced a shutdown
     }
     if (static_cast<std::size_t>(n) < buf.size()) break;  // drained
@@ -395,7 +281,7 @@ void SocketFabric::network_loop() {
   std::unique_lock<std::recursive_mutex> lock(mutex_);
   std::vector<struct pollfd> fds;
   std::vector<std::size_t> fd_peer;
-  while (!stop_) {
+  while (!stopped_) {
     // 1. Run everything that is due: timers with the mutex held (they
     //    mutate chain state), frames into rings or local delivery.
     bool due_work = true;
@@ -414,7 +300,7 @@ void SocketFabric::network_loop() {
         route_due_frame(std::move(item.packet), lock);
         due_work = true;
       }
-      if (stop_) return;
+      if (stopped_) return;
     }
 
     // 2. Drain send rings as far as the kernel accepts.
@@ -459,7 +345,7 @@ void SocketFabric::network_loop() {
       ++socket_stats_.eintr_retries;
       continue;
     }
-    if (stop_) return;
+    if (stopped_) return;
     for (std::size_t i = 0; i < fds.size(); ++i) {
       if (fds[i].revents == 0) continue;
       if (fd_peer[i] == peers_.size()) {
@@ -476,11 +362,6 @@ void SocketFabric::network_loop() {
       // POLLOUT is handled by the flush pass at the top of the loop.
     }
   }
-}
-
-SocketFabric::Stats SocketFabric::stats() const {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  return stats_;
 }
 
 SocketFabric::SocketStats SocketFabric::socket_stats() const {

@@ -1,17 +1,24 @@
 #pragma once
-// Multi-process fabric: each ProcessMachine PE owns one SocketFabric that
-// talks to its peers over connected stream sockets (Unix-domain today; the
-// framing is TCP-ready length-prefixed frames, so swapping the transport
-// is a connect() change, not a protocol change). A single non-blocking
-// network thread per process owns every socket: it holds outgoing frames
-// until their modeled delivery deadline (delay-device hold + fault jitter
-// + latency-model delay) elapses in wall-clock time, then serializes them
-// into per-peer send rings drained by writev; inbound bytes are
-// reassembled by an incremental FrameDecoder and run up the receive
-// chain. Implements DeviceHost exactly like ThreadFabric (wall-clock
-// timers, ack/retransmission injection) with one addition: it hosts
-// exactly one process-local node, reported via host_local_node(), so
-// node-scoped devices (heartbeat) stop impersonating remote peers.
+// Wall-clock fabric: the fabric core driven by one network thread, which
+// holds every frame until its due time elapses in wall-clock time and
+// runs device timers, sleeping in ppoll on a wake pipe and the peer
+// sockets. The
+// core's lock (a recursive mutex: device injections re-enter the fabric
+// from inside chain transforms that already hold it) guards the chain.
+// Handlers of frames the loop delivers run outside it; a packet a device
+// releases from inside a receive transform (inject_receive) is delivered
+// with it held.
+//
+// It hosts every node (ThreadMachine: a due frame runs straight up the
+// receive chain) or one process-local node (ProcessMachine). In the
+// second case it talks to its peers over connected stream sockets
+// (Unix-domain today; the framing is TCP-ready length-prefixed frames, so
+// swapping the transport is a connect() change, not a protocol change):
+// a due frame for a peer is serialized into that peer's send ring,
+// drained by writev, and inbound bytes are reassembled by an incremental
+// FrameDecoder and run up the receive chain. host_local_node() reports
+// the hosted node, so node-scoped devices (heartbeat) stop impersonating
+// remote peers.
 //
 // The frame payload is the machine's envelope wire image, untouched: the
 // fabric prepends a fixed header and hands ByteWriter the already-packed
@@ -20,7 +27,6 @@
 
 #include <array>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -30,7 +36,6 @@
 #include <vector>
 
 #include "net/fabric.hpp"
-#include "net/latency_model.hpp"
 #include "util/buffer.hpp"
 
 namespace mdo::net {
@@ -76,12 +81,12 @@ class FrameDecoder {
   std::size_t pos_ = 0;
 };
 
-class SocketFabric final : public Fabric, public DeviceHost {
+class SocketFabric final : public Fabric {
  public:
   using Clock = std::chrono::steady_clock;
 
   /// Counters specific to the socket transport, published under
-  /// `fabric.socket.*` by the owning machine.
+  /// `fabric.socket.*` by ProcessMachine.
   struct SocketStats {
     std::uint64_t link_down_drops = 0;   ///< frames dropped: peer link closed
     std::uint64_t truncated_frames = 0;  ///< partial inbound frame at EOF
@@ -90,17 +95,18 @@ class SocketFabric final : public Fabric, public DeviceHost {
     std::uint64_t peer_disconnects = 0;  ///< sockets closed by peer death
   };
 
-  /// `peer_fds[j]` is a connected non-blocking stream socket to node j,
-  /// or -1 (self and absent peers). Takes ownership of every fd. `epoch`
-  /// anchors host_now(); the forking machine passes one pre-fork instant
-  /// so every process in the mesh shares a time base.
+  /// Hosts every node of `topo` and has no peer sockets: the fabric of
+  /// one address space (ThreadMachine). host_now() counts from here.
+  SocketFabric(const Topology* topo, LatencyModel* model, Chain chain);
+
+  /// Hosts `self` alone. `peer_fds[j]` is a connected non-blocking stream
+  /// socket to node j, or -1 (self and absent peers). Takes ownership of
+  /// every fd. `epoch` anchors host_now(); the forking machine passes one
+  /// pre-fork instant so every process in the mesh shares a time base.
   SocketFabric(const Topology* topo, LatencyModel* model, Chain chain,
                NodeId self, std::vector<int> peer_fds,
                Clock::time_point epoch);
   ~SocketFabric() override;
-
-  SocketFabric(const SocketFabric&) = delete;
-  SocketFabric& operator=(const SocketFabric&) = delete;
 
   /// Spawn the network thread. Separate from the constructor so the
   /// owning machine can install handlers and probes first.
@@ -110,48 +116,31 @@ class SocketFabric final : public Fabric, public DeviceHost {
   /// close every socket (also done by the destructor). Idempotent.
   void shutdown();
 
-  NodeId self() const { return self_; }
-
-  // -- Fabric --------------------------------------------------------------
-  sim::TimeNs send(Packet&& packet) override;
-  void set_delivery_handler(NodeId node, DeliverFn handler) override;
-  const Topology& topology() const override { return *topo_; }
-  void set_node_up_probe(NodeUpProbe probe) override;
-  Stats stats() const override;
-
   SocketStats socket_stats() const;
 
-  /// Device chain access; only safe to mutate before traffic flows.
-  Chain& chain() { return chain_; }
-
-  // -- DeviceHost ----------------------------------------------------------
-  sim::TimeNs host_now() const override { return now_ns(); }
+  // -- the clock -----------------------------------------------------------
+  sim::TimeNs host_now() const override {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                                epoch_)
+        .count();
+  }
   void host_schedule(sim::TimeNs dt, std::function<void()> fn) override;
-  void inject_send(const FilterDevice* from, Packet&& packet) override;
-  void inject_receive(const FilterDevice* from, Packet&& packet) override;
-  bool host_node_up(NodeId node) const override;
-  void host_locked(const std::function<void()>& fn) override;
-  std::optional<NodeId> host_local_node() const override { return self_; }
 
  private:
+  /// Heap entries, earliest `due` first; `seq` keeps equal deadlines FIFO.
   struct Timed {
     Clock::time_point due;
     std::uint64_t seq;
     Packet packet;
-  };
-  struct Later {
-    bool operator()(const Timed& a, const Timed& b) const {
-      if (a.due != b.due) return a.due > b.due;
-      return a.seq > b.seq;
-    }
   };
   struct Timer {
     Clock::time_point due;
     std::uint64_t seq;
     std::function<void()> fn;
   };
-  struct TimerLater {
-    bool operator()(const Timer& a, const Timer& b) const {
+  struct Later {
+    template <class Entry>
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.due != b.due) return a.due > b.due;
       return a.seq > b.seq;
     }
@@ -173,22 +162,13 @@ class SocketFabric final : public Fabric, public DeviceHost {
     FrameDecoder decoder;
   };
 
-  sim::TimeNs now_ns() const {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                                epoch_)
-        .count();
-  }
-
-  /// Schedule the wire frames of one transmission (mutex held).
-  void enqueue_frames(std::vector<Packet>& wire, const SendContext& ctx);
-  void send_through(const FilterDevice* below, Packet&& packet,
-                    SendContext& ctx);
-  /// A frame's deadline elapsed: loop back (dst == self) or serialize
-  /// into the peer's send ring (mutex held; may unlock for delivery).
+  void hold(sim::TimeNs due, Packet&& frame) override;
+  void open_wake_pipe();
+  /// A frame's deadline elapsed: run it up the chain (hosted node) or
+  /// serialize it into the peer's send ring (mutex held; may unlock for
+  /// delivery).
   void route_due_frame(Packet&& packet,
                        std::unique_lock<std::recursive_mutex>& lock);
-  void deliver_complete(Packet&& packet,
-                        std::unique_lock<std::recursive_mutex>& lock);
   /// Drain a peer's send ring with non-blocking writev (mutex held).
   void flush_peer(Peer& peer);
   /// Drain readable bytes from a peer and deliver completed frames
@@ -199,27 +179,15 @@ class SocketFabric final : public Fabric, public DeviceHost {
   void wake();
   void network_loop();
 
-  const Topology* topo_;
-  LatencyModel* model_;
-  Chain chain_;
-  NodeId self_;
   Clock::time_point epoch_;
-
   mutable std::recursive_mutex mutex_;
-  std::vector<Peer> peers_;
+  std::vector<Peer> peers_;  ///< empty when every node is hosted here
   int wake_r_ = -1;
   int wake_w_ = -1;
   std::priority_queue<Timed, std::vector<Timed>, Later> pending_;
-  std::priority_queue<Timer, std::vector<Timer>, TimerLater> timers_;
-  std::vector<DeliverFn> handlers_;
-  std::vector<Packet> wire_scratch_;
-  bool wire_busy_ = false;
-  NodeUpProbe node_up_;
-  std::uint64_t next_id_ = 1;
+  std::priority_queue<Timer, std::vector<Timer>, Later> timers_;
   std::uint64_t next_seq_ = 0;
-  Stats stats_;
   SocketStats socket_stats_;
-  bool stop_ = false;
   std::thread network_;
 };
 

@@ -23,7 +23,7 @@
 #include "net/reliable.hpp"
 #include "net/sim_fabric.hpp"
 #include "obs/metrics.hpp"
-#include "net/thread_fabric.hpp"
+#include "net/socket_fabric.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -36,7 +36,7 @@ using net::Packet;
 using net::ReliableConfig;
 using net::SendContext;
 using net::SimFabric;
-using net::ThreadFabric;
+using net::SocketFabric;
 using net::Topology;
 
 Packet text_packet(net::NodeId src, net::NodeId dst, const std::string& body,
@@ -629,7 +629,7 @@ TEST(ReliableSimTest, FramesHeldBehindAHoleSampleRttWhenSacked) {
   EXPECT_EQ((sim.received[{0, 2}]), numbered(6));
 }
 
-// -- reliability over a faulty ThreadFabric -----------------------------------
+// -- reliability over a faulty wall-clock fabric ------------------------------
 
 TEST(ReliableThreadTest, LossyWireDeliversEverythingInOrder) {
   Topology topo = Topology::two_cluster(2);
@@ -642,7 +642,8 @@ TEST(ReliableThreadTest, LossyWireDeliversEverythingInOrder) {
   faults.seed = 5;
   auto stack = net::install_reliability_stack(chain, &topo, rel, faults,
                                               /*cross_cluster_delay=*/0);
-  ThreadFabric fabric(&topo, &model, std::move(chain));
+  SocketFabric fabric(&topo, &model, std::move(chain));
+  fabric.start();
 
   std::mutex m;
   std::vector<std::string> got;

@@ -1,6 +1,6 @@
 // Message-layer stress and invariants: high packet volumes through the
-// ThreadFabric, bandwidth-order effects in the SimFabric, and scenario-
-// level delay-device wiring.
+// wall-clock fabric hosting every node, bandwidth-order effects in the
+// SimFabric, and scenario-level delay-device wiring.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 #include "net/devices.hpp"
 #include "net/sim_fabric.hpp"
 #include "net/striping.hpp"
-#include "net/thread_fabric.hpp"
+#include "net/socket_fabric.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
@@ -37,7 +37,8 @@ TEST(ThreadFabricStress, ThousandsOfPacketsAllArriveIntact) {
   net::FixedLatencyModel model(sim::microseconds(50));
   Chain chain;
   chain.add(std::make_unique<net::ChecksumDevice>());
-  net::ThreadFabric fabric(&topo, &model, std::move(chain));
+  net::SocketFabric fabric(&topo, &model, std::move(chain));
+  fabric.start();
 
   constexpr int kPerNode = 500;
   std::atomic<int> received{0};
@@ -70,7 +71,8 @@ TEST(ThreadFabricStress, ThousandsOfPacketsAllArriveIntact) {
 TEST(ThreadFabricStress, ConcurrentSendersAreSafe) {
   Topology topo = Topology::single_cluster(2);
   net::FixedLatencyModel model(sim::microseconds(10));
-  net::ThreadFabric fabric(&topo, &model, Chain{});
+  net::SocketFabric fabric(&topo, &model, Chain{});
+  fabric.start();
   std::atomic<int> received{0};
   fabric.set_delivery_handler(1, [&](Packet&&) { received.fetch_add(1); });
   fabric.set_delivery_handler(0, [&](Packet&&) { received.fetch_add(1); });

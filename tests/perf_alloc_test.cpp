@@ -12,8 +12,8 @@
 //      crypto) allocates nothing when driven through the out-parameter
 //      Chain overloads with arena-backed payloads.
 //
-// Out of scope by design (documented in ISSUE/EXPERIMENTS): SimFabric's
-// transmit lambda (captures a Packet, exceeds SBO) and striping
+// Out of scope by design (documented in EXPERIMENTS): SimFabric's
+// hold lambda (captures a Packet, exceeds SBO) and striping
 // reassembly map nodes.
 
 #include <gtest/gtest.h>

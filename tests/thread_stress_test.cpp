@@ -1,7 +1,7 @@
 // ThreadMachine delivery stress under the pooled-buffer hot path
 // (`ctest -L tsan`). Every cross-PE send packs its envelope into a
 // scratch-arena buffer on the sending thread, ships it through the
-// ThreadFabric dispatcher thread, and returns the storage to the
+// fabric's network thread, and returns the storage to the
 // *receiving* thread's arena; PayloadBuf reps likewise recycle into
 // whichever thread releases the last reference. This test hammers those
 // cross-thread hand-offs from many PEs at once so the tsan preset
