@@ -41,9 +41,6 @@ struct Params {
 
   std::int32_t k() const;      ///< tile grid edge = sqrt(tiles)
   std::int32_t block() const;  ///< cells per tile edge = lattice / k
-  std::size_t edge_bytes() const {
-    return static_cast<std::size_t>(block()) * sizeof(double);
-  }
 };
 
 /// Angular influx entering every cell on the lattice boundary (vacuum

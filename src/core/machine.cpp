@@ -108,7 +108,6 @@ void Machine::register_core_metrics(obs::MetricRegistry& reg) {
     sink.gauge("rt.sched.parked_depth", static_cast<double>(lot.held));
     sink.counter("rt.sched.shard.handoffs", s.handoffs);
     sink.counter("rt.sched.shard.handoff_batches", s.handoff_batches);
-    sink.counter("rt.sched.shard.handoff_fallbacks", s.handoff_fallbacks);
     sink.gauge("rt.sched.shard.shards", static_cast<double>(s.shards));
     sink.counter("trace.events", s.trace.events);
     sink.counter("trace.dropped", s.trace.dropped);

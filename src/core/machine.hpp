@@ -227,11 +227,10 @@ class Machine {
   /// Scheduler state summed over the PEs this process executes.
   struct SchedulerSample {
     PeStats pes;
-    std::uint64_t queue_depth = 0;        ///< envelopes awaiting execution
-    std::uint64_t handoffs = 0;           ///< envelopes landed on a PE queue
-    std::uint64_t handoff_batches = 0;    ///< wake events / ring pops
-    std::uint64_t handoff_fallbacks = 0;  ///< ring-full spills (Thread)
-    std::size_t shards = 0;               ///< PE queues this process runs
+    std::uint64_t queue_depth = 0;      ///< envelopes awaiting execution
+    std::uint64_t handoffs = 0;         ///< envelopes landed on a PE queue
+    std::uint64_t handoff_batches = 0;  ///< wake events / mailbox pops
+    std::size_t shards = 0;             ///< PE queues this process runs
     TraceStats trace;
   };
 

@@ -339,14 +339,10 @@ void ProcessMachine::setup_process(std::vector<int> peer_fds) {
 
 [[noreturn]] void ProcessMachine::child_main() {
   while (true) {
-    if (execute_one()) continue;
-    std::unique_lock<std::mutex> lock(queue_mutex_);
-    if (!queue_.empty()) continue;
-    // idle == parked on an empty queue with no handler running; the
-    // parent's quiescence wave reads it alongside the counters.
-    idle_.store(true, std::memory_order_release);
-    queue_cv_.wait(lock, [this] { return !queue_.empty(); });
-    idle_.store(false, std::memory_order_release);
+    // While it waits the mailbox reads idle (parked on an empty queue,
+    // no handler running); the parent's quiescence wave reads that
+    // alongside the counters.
+    if (!execute_one()) mailbox_.wait([] { return false; });
   }
 }
 
@@ -406,43 +402,26 @@ void ProcessMachine::dispatch(Envelope&& env) {
 }
 
 void ProcessMachine::enqueue(Pe from, Envelope&& env) {
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_.push(env.priority, Delivery{from, std::move(env)});
-  }
-  handoffs_.fetch_add(1, std::memory_order_relaxed);
-  queue_cv_.notify_one();
-}
-
-bool ProcessMachine::queue_empty() const {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  return queue_.empty();
+  const Priority priority = env.priority;
+  mailbox_.push(priority, Delivery{from, std::move(env)});
 }
 
 bool ProcessMachine::execute_one() {
-  Delivery item{kInvalidPe, Envelope{}};
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (queue_.empty()) return false;
-    item = queue_.pop();
-  }
-  handoff_pops_.fetch_add(1, std::memory_order_relaxed);
+  std::optional<Delivery> item = mailbox_.try_pop();
+  if (!item) return false;
   const sim::TimeNs busy =
-      execute_entry(*rt_, std::move(item.env), self_pe_,
+      execute_entry(*rt_, std::move(item->env), self_pe_,
                     options_.emulate_charge, trace_, epoch_);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.busy_ns += busy;
     ++stats_.msgs_executed;
   }
-  // Outside the queue lock: the idle hook reaches into the fabric
-  // (coalesce flush), whose lock is taken while delivering into the
-  // mailbox.
-  if (on_pe_idle_ && queue_empty()) on_pe_idle_(self_pe_);
+  if (on_pe_idle_ && mailbox_.empty()) on_pe_idle_(self_pe_);
   // Accounted last: the wave must stay unbalanced until the handler and
   // everything it sent are fully recorded.
-  MDO_CHECK(item.from >= 0 && item.from < num_pes());
-  acct_from_[static_cast<std::size_t>(item.from)].fetch_add(
+  MDO_CHECK(item->from >= 0 && item->from < num_pes());
+  acct_from_[static_cast<std::size_t>(item->from)].fetch_add(
       1, std::memory_order_acq_rel);
   return true;
 }
@@ -562,12 +541,11 @@ ProcessMachine::CtlStatus ProcessMachine::local_status() {
     s.stats = stats_;
   }
   s.fstats = fabric_ ? fabric_->stats() : net::Fabric::Stats{};
-  const bool drained = queue_empty();
-  if (role_ == Role::kChild) {
-    s.idle = (idle_.load(std::memory_order_acquire) && drained) ? 1 : 0;
-  } else {
-    s.idle = drained ? 1 : 0;
-  }
+  // A child is idle while its main thread waits on an empty mailbox;
+  // the parent runs this between its own executions.
+  const bool idle =
+      role_ == Role::kChild ? mailbox_.idle() : mailbox_.empty();
+  s.idle = idle ? 1 : 0;
   return s;
 }
 
@@ -697,7 +675,7 @@ void ProcessMachine::run() {
     const bool settled = collect_wave(wave);
     // Two consecutive identical settled waves over monotone counters
     // mean nothing happened between them: genuinely quiescent.
-    if (settled && queue_empty() && have_prev && wave == prev_wave) {
+    if (settled && mailbox_.empty() && have_prev && wave == prev_wave) {
       // run() returning is the contract's quiescent point: host code is
       // about to read its local replicas (gather_mesh, reduction state,
       // checkpoint cuts), so pull the owners' element states home. The
@@ -720,9 +698,8 @@ void ProcessMachine::run() {
                     "ProcessMachine::run() made no progress within the "
                     "watchdog window (hung child or wedged socket?)");
     }
-    std::unique_lock<std::mutex> lock(queue_mutex_);
-    queue_cv_.wait_for(lock, std::chrono::microseconds(500), [this] {
-      return !queue_.empty() || stopping_.load(std::memory_order_acquire);
+    mailbox_.wait_for(std::chrono::microseconds(500), [this] {
+      return stopping_.load(std::memory_order_acquire);
     });
   }
 }
@@ -733,7 +710,7 @@ void ProcessMachine::stop() {
                 "ProcessMachine");
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
-  queue_cv_.notify_all();
+  mailbox_.wake_all();
   if (forked_) {
     std::lock_guard<std::recursive_mutex> lock(ctl_mutex_);
     for (Pe pe = 1; pe < num_pes(); ++pe) {
@@ -787,16 +764,12 @@ Machine::SchedulerSample ProcessMachine::scheduler_sample() const {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     s.pes = stats_;
   }
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    s.queue_depth = queue_.size();
-  }
   // Each process is one scheduler shard by construction (shards sum to
   // the mesh size in the aggregated parent snapshot); a "handoff" is an
-  // envelope landing on this process's queue, a "batch" one dequeue, and
-  // there is no bounded-ring fallback path.
-  s.handoffs = handoffs_.load(std::memory_order_relaxed);
-  s.handoff_batches = handoff_pops_.load(std::memory_order_relaxed);
+  // envelope landing in this process's mailbox, a "batch" one pop.
+  s.queue_depth = mailbox_.size();
+  s.handoffs = mailbox_.pushed();
+  s.handoff_batches = mailbox_.popped();
   s.shards = 1;
   s.trace = trace_.stats();
   return s;

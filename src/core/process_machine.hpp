@@ -36,7 +36,6 @@
 // timer replay), and run() must be driven by the parent.
 
 #include <atomic>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -48,7 +47,6 @@
 #include <sys/types.h>
 
 #include "core/machine.hpp"
-#include "core/run_queue.hpp"
 #include "core/wall_clock.hpp"
 #include "net/latency_model.hpp"
 #include "net/socket_fabric.hpp"
@@ -172,7 +170,6 @@ class ProcessMachine final : public Machine {
   void dispatch(Envelope&& env);  ///< route minus the sent_to count
   void enqueue(Pe from, Envelope&& env);
   bool execute_one();
-  bool queue_empty() const;
 
   CtlStatus local_status();
   /// One wave: fetch every alive child's status (caching it), flatten
@@ -225,12 +222,7 @@ class ProcessMachine final : public Machine {
 
   // This process's mailbox (the child main thread / parent wave loop
   // executes from it).
-  mutable std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  RunQueue<Delivery> queue_;
-  std::atomic<std::uint64_t> handoffs_{0};      ///< envelopes enqueued
-  std::atomic<std::uint64_t> handoff_pops_{0};  ///< queue pops (batches of 1)
-  std::atomic<bool> idle_{false};  // child: main thread parked, queue empty
+  Mailbox<Delivery> mailbox_;
 
   mutable std::mutex stats_mutex_;
   PeStats stats_;  // this process's PE

@@ -14,22 +14,10 @@ namespace mdo::core {
 template <class T>
 class RunQueue {
  public:
-  struct Item {
-    Priority priority;
-    std::uint64_t seq;  ///< enqueue order; breaks priority ties FIFO
-    T value;
-  };
-
-  /// Enqueue under this queue's own sequence counter.
+  /// Enqueue behind every earlier value of the same priority.
   void push(Priority priority, T&& value) {
     queue_.push(Item{priority, next_seq_++, std::move(value)});
   }
-
-  /// Enqueue an item its producer already sequenced (ThreadMachine
-  /// numbers items when they are handed off, so an item that took the
-  /// overflow path cannot overtake older ones still in the ring). A
-  /// queue takes either this form or the one above, never both.
-  void push(Item&& item) { queue_.push(std::move(item)); }
 
   /// Remove and return the most urgent value. Must not be empty.
   T pop() {
@@ -49,6 +37,11 @@ class RunQueue {
   std::size_t size() const { return queue_.size(); }
 
  private:
+  struct Item {
+    Priority priority;
+    std::uint64_t seq;  ///< enqueue order; breaks priority ties FIFO
+    T value;
+  };
   struct Later {
     bool operator()(const Item& a, const Item& b) const {
       if (a.priority != b.priority) return a.priority > b.priority;

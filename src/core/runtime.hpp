@@ -54,7 +54,6 @@ class Runtime {
     return topology().cluster_of(static_cast<net::NodeId>(pe));
   }
   const ClusterTree& tree() const { return tree_; }
-  TreeMode collective_mode() const { return tree_.mode(); }
 
   /// Switch broadcast/multicast/reduction routing between the
   /// hierarchical cluster tree and the flat (topology-blind) tree.

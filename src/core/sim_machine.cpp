@@ -39,8 +39,7 @@ Machine::SchedulerSample SimMachine::scheduler_sample() const {
     s.queue_depth += pe.queue.size();
   }
   // Here a "handoff" is an envelope landing on a PE queue and a "batch"
-  // one coalesced wake event (the DES analogue of a batched inbox pop).
-  // No bounded ring, so there is no fallback path.
+  // one coalesced wake event.
   s.handoffs = handoffs_;
   s.handoff_batches = wake_batches_;
   s.shards = pes_.size();

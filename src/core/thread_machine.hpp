@@ -13,11 +13,9 @@
 #include <vector>
 
 #include "core/machine.hpp"
-#include "core/run_queue.hpp"
 #include "core/wall_clock.hpp"
 #include "net/latency_model.hpp"
 #include "net/socket_fabric.hpp"
-#include "obs/mpsc_ring.hpp"
 
 namespace mdo::core {
 
@@ -34,10 +32,11 @@ class ThreadMachine final : public Machine {
 
   /// Crash-inject: PE `pe` stops scheduling work. Cooperative fail-stop —
   /// a handler already running finishes, but nothing it sends escapes,
-  /// its queue is drained (counted in msgs_dropped), and the fabric
-  /// squashes frames it would still emit. PE 0 hosts the mainchare and
-  /// cannot be killed. Only sound without injected frame loss: an
-  /// abandoned retransmission flow would strand quiescence accounting.
+  /// whatever its mailbox still holds is popped and dropped (counted in
+  /// msgs_dropped), and the fabric squashes frames it would still emit.
+  /// PE 0 hosts the mainchare and cannot be killed. Only sound without
+  /// injected frame loss: an abandoned retransmission flow would strand
+  /// quiescence accounting.
   void kill_pe(Pe pe) override;
 
   net::SocketFabric& fabric() { return *fabric_; }
@@ -72,44 +71,20 @@ class ThreadMachine final : public Machine {
   const net::Fabric* local_fabric() const override { return fabric_.get(); }
 
  private:
-  using RunItem = RunQueue<Envelope>::Item;
-
-  /// Sharded scheduler: each PE owns a lock-free MPSC inbox ring (any
-  /// thread pushes, only this PE's worker pops — in batches) feeding a
-  /// consumer-private priority run queue. The mutex+cv pair exists only
-  /// for the sleep/wake handshake and the ring-full overflow list; the
-  /// steady-state handoff takes no lock. The publish store in the ring
-  /// and the `sleeping` flag are both seq_cst, so a producer that reads
-  /// sleeping==false and a consumer that reads ring-empty cannot both
-  /// happen (store-buffering litmus) — no wake-up is ever lost.
+  /// One PE: its mailbox (any thread pushes, only `thread` pops), its
+  /// stats and its worker thread.
   struct PeWorker {
-    std::unique_ptr<obs::MpscRing<RunItem>> inbox;
-    std::mutex mutex;              ///< sleep/wake + overflow only
-    std::condition_variable cv;
-    std::vector<RunItem> overflow;  ///< ring-full fallback (never drops)
-    std::atomic<std::size_t> overflow_count{0};
-    std::atomic<bool> sleeping{false};
-
+    Mailbox<Envelope> mailbox;
     // Stats as atomics: senders, producers (drops) and the worker
-    // (execution) update without taking the worker mutex on the hot path.
+    // (execution) update them without a lock.
     std::atomic<std::uint64_t> sent{0};
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> dropped{0};
     std::atomic<std::int64_t> busy_ns{0};
-    std::atomic<std::size_t> runq_depth{0};  ///< metrics snapshot
-
-    // Consumer-private state: only the worker thread touches these.
-    RunQueue<Envelope> runq;
-    std::vector<RunItem> batch;  ///< pop_batch scratch
     std::thread thread;
   };
 
   void worker_loop(Pe pe);
-  /// Move everything from inbox/overflow into the consumer-private runq.
-  /// Worker thread only.
-  void refill_runq(PeWorker& worker);
-  /// Discard the runq of a crashed PE, balancing the pending count.
-  void discard_runq(PeWorker& worker);
   void enqueue(Pe pe, Envelope&& env);
   /// Route one envelope: local enqueue, fabric, or (toward a congested
   /// peer) the parking lot. Parked envelopes stay in the pending count,
@@ -124,7 +99,6 @@ class ThreadMachine final : public Machine {
   std::unique_ptr<net::SocketFabric> fabric_;
 
   std::vector<std::unique_ptr<PeWorker>> workers_;
-  std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<bool> stopping_{false};
 
   /// One ring per PE (producer: that PE's worker thread) plus a final

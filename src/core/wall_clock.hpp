@@ -1,16 +1,21 @@
 #pragma once
 // What the wall-clock backends (ThreadMachine, ProcessMachine) share on
-// the execution side: the lock-free trace recorder and the body that
-// runs one entry in real time. SimMachine charges virtual time instead
-// and keeps a plain trace vector.
+// the execution side: the PE mailbox they execute from, the lock-free
+// trace recorder and the body that runs one entry in real time.
+// SimMachine charges virtual time instead and keeps a plain trace
+// vector.
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "core/machine.hpp"
+#include "core/run_queue.hpp"
 #include "obs/ring_buffer.hpp"
 
 namespace mdo::core {
@@ -23,6 +28,94 @@ inline sim::TimeNs wall_since(WallTime epoch,
   return std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch)
       .count();
 }
+
+/// A wall-clock PE's message queue: a RunQueue (most urgent first, FIFO
+/// among equal priorities) under one mutex, with one condition variable
+/// the consumer sleeps on. Any thread pushes; one consumer pops. No
+/// call leaves the mailbox while its lock is held, so a caller that
+/// pushes under its own lock (the fabric delivering from
+/// `inject_receive`) keeps fabric -> mailbox the only lock order.
+template <class T>
+class Mailbox {
+ public:
+  void push(Priority priority, T&& value) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      queue_.push(priority, std::move(value));
+      ++pushed_;
+    }
+    cv_.notify_one();
+  }
+
+  /// The most urgent value, or nullopt when the mailbox is empty.
+  std::optional<T> try_pop() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (queue_.empty()) return std::nullopt;
+    ++popped_;
+    return queue_.pop();
+  }
+
+  /// Sleep while the mailbox is empty and `stop()` is false; idle()
+  /// reads true meanwhile. `stop` is evaluated under the lock, so a flag
+  /// it reads must be set before wake_all().
+  template <class Stop>
+  void wait(Stop stop) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    const auto ready = [&] { return !queue_.empty() || stop(); };
+    if (ready()) return;
+    sleeping_ = true;
+    cv_.wait(lock, ready);
+    sleeping_ = false;
+  }
+
+  /// wait() for at most `timeout`.
+  template <class Stop>
+  void wait_for(std::chrono::nanoseconds timeout, Stop stop) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    const auto ready = [&] { return !queue_.empty() || stop(); };
+    if (ready()) return;
+    sleeping_ = true;
+    cv_.wait_for(lock, timeout, ready);
+    sleeping_ = false;
+  }
+
+  /// Wake every sleeper. Takes the lock before notifying, so a sleeper
+  /// that has just found `stop()` false cannot miss the notification.
+  void wake_all() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    cv_.notify_all();
+  }
+
+  /// The consumer sleeps in wait() on an empty mailbox.
+  bool idle() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return sleeping_ && queue_.empty();
+  }
+  bool empty() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return queue_.empty();
+  }
+  std::size_t size() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return queue_.size();
+  }
+  std::uint64_t pushed() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return pushed_;
+  }
+  std::uint64_t popped() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return popped_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  RunQueue<T> queue_;
+  bool sleeping_ = false;
+  std::uint64_t pushed_ = 0;
+  std::uint64_t popped_ = 0;
+};
 
 /// Entry-interval tracing into single-producer rings: one per PE (its
 /// worker records without a lock) plus one for the host thread's phase

@@ -34,7 +34,6 @@ struct Scenario {
 
   std::size_t pes = 2;                  ///< split evenly across `clusters`
   Mode mode = Mode::kArtificial;
-  Backend backend = Backend::kSim;      ///< default for make_machine(s)
   std::size_t clusters = 2;             ///< WAN sites (ignored under kLocal)
   sim::TimeNs artificial_one_way = 0;   ///< the delay-device knob
   bool tracing = false;
@@ -255,24 +254,6 @@ struct Scenario {
     return *this;
   }
 
-  /// Diurnal (square-wave) latency on the symmetric cluster pair a<->b:
-  /// starting from the static latency, the link flips to `high` at
-  /// half_period, back to `low` at 2*half_period, and so on until
-  /// `horizon` — the bursty/changing-latency environment where a static
-  /// flush window must lose to an adaptive one at one end of the wave.
-  Scenario& with_diurnal_link(net::ClusterId a, net::ClusterId b,
-                              sim::TimeNs low, sim::TimeNs high,
-                              sim::TimeNs half_period, sim::TimeNs horizon) {
-    bool high_phase = true;
-    for (sim::TimeNs at = half_period; at < horizon; at += half_period) {
-      const sim::TimeNs latency = high_phase ? high : low;
-      link_drifts.push_back({a, b, at, latency});
-      link_drifts.push_back({b, a, at, latency});
-      high_phase = !high_phase;
-    }
-    return *this;
-  }
-
   /// Entry-interval tracing on the built machine (both machine kinds).
   Scenario& with_tracing(bool on = true) {
     tracing = on;
@@ -312,13 +293,6 @@ struct Scenario {
   /// Deterministic per seed, so chaos runs replay bit-identically.
   Scenario& with_partitions(std::uint64_t seed, std::size_t count,
                             sim::TimeNs mean_len, sim::TimeNs horizon);
-
-  /// Pick the execution backend make_machine(scenario) builds. Purely a
-  /// default — make_machine's explicit backend argument overrides it.
-  Scenario& with_backend(Backend b) {
-    backend = b;
-    return *this;
-  }
 
  private:
   /// The static half of retransmission sizing, from the link table
@@ -368,13 +342,7 @@ struct Scenario {
 /// wall-clock backends (ignored under kSim, which has its own virtual
 /// clock and calibrated overhead charging).
 std::unique_ptr<core::Machine> make_machine(const Scenario& scenario,
-                                            Backend backend,
+                                            Backend backend = Backend::kSim,
                                             core::MachineOptions options = {});
-
-/// Backend taken from scenario.backend (see Scenario::with_backend).
-inline std::unique_ptr<core::Machine> make_machine(
-    const Scenario& scenario, core::MachineOptions options = {}) {
-  return make_machine(scenario, scenario.backend, options);
-}
 
 }  // namespace mdo::grid

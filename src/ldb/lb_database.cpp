@@ -49,24 +49,6 @@ LbSnapshot collect(core::Runtime& rt) {
   return snap;
 }
 
-void publish_metrics(obs::MetricRegistry& reg, const LbSnapshot& snap) {
-  std::uint64_t wan_talkers = 0;
-  for (const auto& rec : snap.objects) {
-    if (rec.talks_over_wan()) ++wan_talkers;
-  }
-  const std::uint64_t objects = snap.objects.size();
-  const double max_load = snap.max_load();
-  const double avg_load = snap.avg_load();
-  const double imbalance = snap.imbalance();
-  reg.add_source("ldb", [=](obs::MetricSink& sink) {
-    sink.counter("objects", objects);
-    sink.counter("wan_talkers", wan_talkers);
-    sink.gauge("max_load_ns", max_load);
-    sink.gauge("avg_load_ns", avg_load);
-    sink.gauge("imbalance", imbalance);
-  });
-}
-
 void reset_measurements(core::Runtime& rt) {
   for (std::size_t a = 0; a < rt.num_arrays(); ++a) {
     core::ArrayBase& arr = rt.array(static_cast<core::ArrayId>(a));

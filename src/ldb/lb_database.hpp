@@ -9,7 +9,6 @@
 
 #include "core/runtime.hpp"
 #include "core/types.hpp"
-#include "obs/metrics.hpp"
 
 namespace mdo::ldb {
 
@@ -40,12 +39,6 @@ struct LbSnapshot {
 
 /// Snapshot all arrays of the runtime (quiescent point).
 LbSnapshot collect(core::Runtime& rt);
-
-/// Publish the balance view of `snap` under `ldb.*` (object count,
-/// WAN talkers, max/avg load, imbalance). Values are copied — the
-/// snapshot need not outlive the registry. Re-publishing after a later
-/// LB round shadows the earlier values (later sources win per name).
-void publish_metrics(obs::MetricRegistry& reg, const LbSnapshot& snap);
 
 /// Zero all element instrumentation (start of a new measurement window).
 void reset_measurements(core::Runtime& rt);

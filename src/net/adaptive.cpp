@@ -16,13 +16,7 @@ AdaptiveController::AdaptiveController(const Topology* topo,
                                        AdaptiveConfig config)
     : topo_(topo), config_(config) {
   MDO_CHECK(config_.sample_period > 0);
-  MDO_CHECK(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0);
-  MDO_CHECK(config_.hysteresis >= 0.0);
-  MDO_CHECK(config_.min_flush_window > 0);
-  MDO_CHECK(config_.max_flush_window >= config_.min_flush_window);
-  MDO_CHECK(config_.min_rails >= 2);
-  MDO_CHECK(config_.max_rails >= config_.min_rails);
-  MDO_CHECK(config_.loss_high >= config_.loss_low);
+  MDO_CHECK(config_.max_flush_window >= kMinFlushWindow);
 }
 
 AdaptiveController::~AdaptiveController() = default;
@@ -40,8 +34,8 @@ void AdaptiveController::attach(const ReliabilityStack& stack,
   // bundle may never sit longer than half a beat period, or coalescing
   // widens the detection window. Captured here (not just at Scenario
   // construction) so *retunes* re-check it too.
-  if (stack.heartbeat != nullptr && config_.detector_clamp == 0) {
-    config_.detector_clamp = stack.heartbeat->config().period / 2;
+  if (stack.heartbeat != nullptr) {
+    detector_clamp_ = stack.heartbeat->config().period / 2;
   }
 
   // Observation sources — all fabric-context producers, so a network
@@ -142,8 +136,8 @@ void AdaptiveController::sample(const obs::Snapshot& snap) {
       if (interval_mean > 0.0) {
         rtt_ewma_ns_ = rtt_ewma_ns_ <= 0.0
                            ? interval_mean
-                           : (1.0 - config_.ewma_alpha) * rtt_ewma_ns_ +
-                                 config_.ewma_alpha * interval_mean;
+                           : (1.0 - kEwmaAlpha) * rtt_ewma_ns_ +
+                                 kEwmaAlpha * interval_mean;
       }
     }
     const std::uint64_t d_data =
@@ -169,7 +163,7 @@ void AdaptiveController::sample(const obs::Snapshot& snap) {
   prev_wan_bytes_ = wan_bytes;
   have_prev_ = true;
 
-  if (counters_.samples <= config_.warmup_samples) return;
+  if (counters_.samples <= kWarmupSamples) return;
 
   decide_window();
   decide_rails(last_loss_, last_loss_valid_);
@@ -178,38 +172,35 @@ void AdaptiveController::sample(const obs::Snapshot& snap) {
 
 void AdaptiveController::decide_window() {
   if (coalesce_ == nullptr) return;
-  if (last_queue_depth_ > config_.queue_relief_packets &&
-      window_ > config_.min_flush_window) {
+  if (last_queue_depth_ > kQueueReliefPackets && window_ > kMinFlushWindow) {
     // Relief valve: buffers deep enough to matter mean the window is
     // hurting regardless of what the RTT estimator thinks.
-    apply_window(std::max(config_.min_flush_window, window_ / 2),
-                 /*relief=*/true);
+    apply_window(std::max(kMinFlushWindow, window_ / 2), /*relief=*/true);
     return;
   }
   if (rtt_ewma_ns_ <= 0.0) return;  // no RTT evidence yet
   const double one_way = rtt_ewma_ns_ / 2.0;
   const auto target = static_cast<sim::TimeNs>(one_way / 8.0);
-  apply_window(std::clamp(target, config_.min_flush_window,
-                          config_.max_flush_window),
+  apply_window(std::clamp(target, kMinFlushWindow, config_.max_flush_window),
                /*relief=*/false);
 }
 
 void AdaptiveController::apply_window(sim::TimeNs target, bool relief) {
   bool clamped = false;
-  if (config_.detector_clamp > 0 && target > config_.detector_clamp) {
-    target = config_.detector_clamp;
+  if (detector_clamp_ > 0 && target > detector_clamp_) {
+    target = detector_clamp_;
     clamped = true;
   }
   if (target == window_) return;
   if (!relief) {
-    if (counters_.samples - window_changed_at_ < config_.cooldown_samples) {
+    if (counters_.samples - window_changed_at_ < kCooldownSamples) {
       ++counters_.cooldown_holds;
       return;
     }
     const double rel =
         std::abs(static_cast<double>(target) - static_cast<double>(window_)) /
         static_cast<double>(window_);
-    if (rel <= config_.hysteresis) {
+    if (rel <= kHysteresis) {
       ++counters_.hysteresis_holds;
       return;
     }
@@ -227,10 +218,8 @@ void AdaptiveController::apply_window(sim::TimeNs target, bool relief) {
       t = std::clamp(
           static_cast<sim::TimeNs>(static_cast<double>(base_latency) * scale /
                                    8.0),
-          config_.min_flush_window, config_.max_flush_window);
-      if (config_.detector_clamp > 0) {
-        t = std::min(t, config_.detector_clamp);
-      }
+          kMinFlushWindow, config_.max_flush_window);
+      if (detector_clamp_ > 0) t = std::min(t, detector_clamp_);
     }
     coalesce_->retune_pair_flush_timeout(pair.first, pair.second, t);
   }
@@ -249,20 +238,19 @@ void AdaptiveController::apply_window(sim::TimeNs target, bool relief) {
 void AdaptiveController::decide_rails(double loss, bool have_loss) {
   if (stripe_ == nullptr || !have_loss) return;
   std::size_t target = rails_;
-  if (loss >= config_.loss_high && rails_ > config_.min_rails) {
+  if (loss >= kLossHigh && rails_ > kMinRails) {
     // Every striped payload is `rails` reliable frames that must all
     // survive; under loss, fewer rails mean fewer chances to stall a
     // whole message behind one retransmission.
     target = rails_ - 1;
-  } else if (loss <= config_.loss_low && rails_ < base_rails_ &&
-             rails_ < config_.max_rails) {
-    // Recover toward the configured baseline (not max_rails: on a clean
+  } else if (loss <= kLossLow && rails_ < base_rails_ && rails_ < kMaxRails) {
+    // Recover toward the configured baseline (not kMaxRails: on a clean
     // link the static width is the optimum, and growing past it would
     // retune forever).
     target = rails_ + 1;
   }
   if (target == rails_) return;
-  if (counters_.samples - rails_changed_at_ < config_.cooldown_samples) {
+  if (counters_.samples - rails_changed_at_ < kCooldownSamples) {
     ++counters_.cooldown_holds;
     return;
   }
@@ -283,11 +271,11 @@ void AdaptiveController::decide_compress(std::uint64_t d_saved,
   if (compress_ == nullptr) return;
   if (compress_on_) {
     const std::uint64_t touched = d_saved + d_wire;
-    if (touched < config_.compress_min_bytes) return;  // interval too small
+    if (touched < kCompressMinBytes) return;  // interval too small
     const double ratio =
         static_cast<double>(d_saved) / static_cast<double>(touched);
-    if (ratio >= config_.compress_min_saving) return;
-    if (counters_.samples - compress_changed_at_ < config_.cooldown_samples) {
+    if (ratio >= kCompressMinSaving) return;
+    if (counters_.samples - compress_changed_at_ < kCooldownSamples) {
       ++counters_.cooldown_holds;
       return;
     }
@@ -299,8 +287,7 @@ void AdaptiveController::decide_compress(std::uint64_t d_saved,
   } else {
     // Periodic re-probe: payload mixes change, and a disabled encoder
     // observes zero savings forever without one.
-    if (counters_.samples - compress_changed_at_ <
-        config_.compress_probe_samples) {
+    if (counters_.samples - compress_changed_at_ < kCompressProbeSamples) {
       return;
     }
     compress_->retune_enabled(true);

@@ -39,7 +39,7 @@
 //    buffers grow is hurting, whatever the RTT says).
 //
 // Every decision passes a hysteresis dead band (a target within
-// `hysteresis` of the current value is noise, not a trend) and a
+// kHysteresis of the current value is noise, not a trend) and a
 // per-knob cooldown counted in *samples* (not time, so SimMachine and
 // ThreadMachine controllers fed the same snapshots decide identically).
 // A widened flush window re-checks the failure-detector clamp — at most
@@ -73,42 +73,42 @@ struct AdaptiveConfig {
   bool enabled = false;  ///< gates installation in Scenario machines
   /// Cadence of the sampling ticker armed by start().
   sim::TimeNs sample_period = sim::milliseconds(2.0);
-  /// Samples observed (accumulating deltas) before the first retune may
-  /// fire — one interval to prime the delta baselines, one to trust it.
-  std::uint64_t warmup_samples = 2;
-  /// Samples between consecutive retunes of the *same* knob.
-  std::uint64_t cooldown_samples = 2;
-  /// Smoothing for the RTT EWMA (weight of the newest interval mean).
-  double ewma_alpha = 0.4;
-  /// Relative dead band: a target within this fraction of the current
-  /// value is held (counted, not applied).
-  double hysteresis = 0.25;
-  /// Flush-window bounds; defaults mirror Scenario::with_coalescing's
-  /// static clamp so "converged" and "statically optimal" coincide.
-  sim::TimeNs min_flush_window = sim::microseconds(100.0);
+  /// Upper flush-window bound; the default mirrors
+  /// Scenario::with_coalescing's static clamp so "converged" and
+  /// "statically optimal" coincide.
   sim::TimeNs max_flush_window = sim::milliseconds(1.0);
-  /// Hard ceiling from the failure detector (half the heartbeat period).
-  /// 0 = none; attach() fills it from the installed stack when a
-  /// heartbeat device is present and no explicit value was set.
-  sim::TimeNs detector_clamp = 0;
-  /// Striping-width bounds and the loss band that moves it.
-  std::size_t min_rails = 2;
-  std::size_t max_rails = 8;
-  double loss_high = 0.02;  ///< interval loss above this narrows rails
-  double loss_low = 0.005;  ///< below this, rails recover toward baseline
-  /// Compression stays on only while it saves at least this fraction of
-  /// the bytes it touches; while off, re-probe every this-many samples.
-  double compress_min_saving = 0.05;
-  std::uint64_t compress_probe_samples = 16;
-  /// Minimum interval wire bytes before the compression ratio is judged
-  /// (tiny intervals are noise).
-  std::uint64_t compress_min_bytes = 4096;
-  /// Coalesce pending-packet gauge past this halves the flush window.
-  double queue_relief_packets = 256.0;
 };
 
 class AdaptiveController final : public FilterDevice {
  public:
+  // -- fixed tuning ---------------------------------------------------------
+  /// Samples observed (accumulating deltas) before the first retune may
+  /// fire — one interval to prime the delta baselines, one to trust it.
+  static constexpr std::uint64_t kWarmupSamples = 2;
+  /// Samples between consecutive retunes of the *same* knob.
+  static constexpr std::uint64_t kCooldownSamples = 2;
+  /// Smoothing for the RTT EWMA (weight of the newest interval mean).
+  static constexpr double kEwmaAlpha = 0.4;
+  /// Relative dead band: a target within this fraction of the current
+  /// value is held (counted, not applied).
+  static constexpr double kHysteresis = 0.25;
+  /// Lower flush-window bound (Scenario::with_coalescing's static clamp).
+  static constexpr sim::TimeNs kMinFlushWindow = sim::microseconds(100.0);
+  /// Striping-width bounds and the loss band that moves it.
+  static constexpr std::size_t kMinRails = 2;
+  static constexpr std::size_t kMaxRails = 8;
+  static constexpr double kLossHigh = 0.02;  ///< above: narrow the rails
+  static constexpr double kLossLow = 0.005;  ///< below: recover toward baseline
+  /// Compression stays on only while it saves at least this fraction of
+  /// the bytes it touches; while off, re-probe every this-many samples.
+  static constexpr double kCompressMinSaving = 0.05;
+  static constexpr std::uint64_t kCompressProbeSamples = 16;
+  /// Minimum interval wire bytes before the compression ratio is judged
+  /// (tiny intervals are noise).
+  static constexpr std::uint64_t kCompressMinBytes = 4096;
+  /// Coalesce pending-packet gauge past this halves the flush window.
+  static constexpr double kQueueReliefPackets = 256.0;
+
   /// `topo` provides the per-directed-cluster-pair static link table the
   /// per-pair windows scale from; may be null (global window only).
   AdaptiveController(const Topology* topo, AdaptiveConfig config);
@@ -132,9 +132,6 @@ class AdaptiveController final : public FilterDevice {
   /// One observation+decision step right now (fabric context): snapshot
   /// the private registry and feed it to sample().
   void sample_now();
-
-  /// Snapshot of the private input registry (what sample_now would see).
-  obs::Snapshot observe() const { return inputs_.snapshot(); }
 
   /// The deterministic decision step: consume one observation snapshot,
   /// update estimators, and retune knobs through the device hooks.
@@ -190,6 +187,9 @@ class AdaptiveController final : public FilterDevice {
   double drift() const;
 
   const AdaptiveConfig& config() const { return config_; }
+  /// Hard ceiling on the flush window from the failure detector: half
+  /// the heartbeat period, derived by attach(); 0 without a detector.
+  sim::TimeNs detector_clamp() const { return detector_clamp_; }
 
  private:
   void begin(sim::TimeNs horizon);  ///< fabric context
@@ -205,6 +205,7 @@ class AdaptiveController final : public FilterDevice {
 
   const Topology* topo_;
   AdaptiveConfig config_;
+  sim::TimeNs detector_clamp_ = 0;
 
   // Knob targets (null = that control loop is off).
   CoalesceDevice* coalesce_ = nullptr;

@@ -158,11 +158,6 @@ void CoalesceDevice::retune_pair_flush_timeout(ClusterId src, ClusterId dst,
   pair_flush_[{src, dst}] = timeout;
 }
 
-void CoalesceDevice::retune_bundle_bytes(std::size_t max_bundle_bytes) {
-  MDO_CHECK(max_bundle_bytes > 0);
-  config_.max_bundle_bytes = max_bundle_bytes;
-}
-
 sim::TimeNs CoalesceDevice::flush_timeout_for(NodeId src, NodeId dst) const {
   if (topo_ != nullptr && !pair_flush_.empty()) {
     const auto it =

@@ -83,8 +83,6 @@ class CoalesceDevice final : public FilterDevice {
   /// link's one-way latency, not the worst link's.
   void retune_pair_flush_timeout(ClusterId src, ClusterId dst,
                                  sim::TimeNs timeout);
-  /// Replace the byte threshold that force-flushes a bundle.
-  void retune_bundle_bytes(std::size_t max_bundle_bytes);
 
   /// The flush window a fresh bundle from src -> dst would get right now
   /// (pair override when present, else the global window).

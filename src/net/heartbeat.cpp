@@ -167,10 +167,6 @@ void HeartbeatDevice::transition(std::size_t j, PeerState to,
   // The stack listener first (quarantine/resume/abandon must settle
   // before recovery or application callbacks react to the verdict).
   if (listener_) listener_(node, from, to, now);
-  if (to == PeerState::kSuspect && on_peer_suspect_) {
-    on_peer_suspect_(node, now);
-  }
-  if (to == PeerState::kAlive && on_peer_alive_) on_peer_alive_(node, now);
   if (to == PeerState::kDead && on_peer_dead_) on_peer_dead_(node, now);
 }
 
@@ -194,14 +190,14 @@ void HeartbeatDevice::check_timeouts() {
       case PeerState::kAlive:
         if (now - last_heard_[j] > config_.timeout) {
           transition(j, PeerState::kSuspect, now);
-          if (config_.indirect_probes) emit_probes(static_cast<NodeId>(j));
+          emit_probes(static_cast<NodeId>(j));
         }
         break;
       case PeerState::kSuspect:
         if (now - suspected_at_[j] > config_.confirm_window) {
           transition(j, PeerState::kDead, now);
           disseminate_death(static_cast<NodeId>(j));
-        } else if (config_.indirect_probes) {
+        } else {
           // Keep probing while the verdict is open: earlier probes may
           // have been lost on the same flaky links that caused this.
           emit_probes(static_cast<NodeId>(j));

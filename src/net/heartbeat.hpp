@@ -70,9 +70,6 @@ struct HeartbeatConfig {
   /// to the worst topology link so an indirect probe can complete its
   /// four-hop round trip and refute a partition before the verdict.
   sim::TimeNs confirm_window = sim::milliseconds(100.0);
-  /// Corroborate suspicion through third-cluster relays. Off, the
-  /// detector degrades to pure silence-based confirmation.
-  bool indirect_probes = true;
 };
 
 class HeartbeatDevice final : public FilterDevice {
@@ -97,17 +94,6 @@ class HeartbeatDevice final : public FilterDevice {
   /// thread under SocketFabric).
   using PeerDeadFn = std::function<void(NodeId node, sim::TimeNs when)>;
   void set_on_peer_dead(PeerDeadFn fn) { on_peer_dead_ = std::move(fn); }
-
-  /// Fired every time a peer transitions alive -> suspect (may repeat
-  /// across demotions). Fabric context.
-  using PeerSuspectFn = std::function<void(NodeId node, sim::TimeNs when)>;
-  void set_on_peer_suspect(PeerSuspectFn fn) {
-    on_peer_suspect_ = std::move(fn);
-  }
-
-  /// Fired every time a suspect is demoted back to alive. Fabric context.
-  using PeerAliveFn = std::function<void(NodeId node, sim::TimeNs when)>;
-  void set_on_peer_alive(PeerAliveFn fn) { on_peer_alive_ = std::move(fn); }
 
   /// Single listener observing every state transition (the reliability
   /// stack uses it to quarantine/resume/abandon flows). Fabric context.
@@ -164,8 +150,6 @@ class HeartbeatDevice final : public FilterDevice {
   const Topology* topo_;
   HeartbeatConfig config_;
   PeerDeadFn on_peer_dead_;
-  PeerSuspectFn on_peer_suspect_;
-  PeerAliveFn on_peer_alive_;
   StateListenerFn listener_;
 
   sim::TimeNs deadline_ = 0;  ///< watch horizon end (fabric time)

@@ -5,9 +5,15 @@
 #include "util/assert.hpp"
 
 namespace mdo::net {
+namespace {
+
+/// Seed of the WAN jitter stream; reset() rewinds it.
+constexpr std::uint64_t kJitterSeed = 0x5eedULL;
+
+}  // namespace
 
 GridLatencyModel::GridLatencyModel(const Topology* topo, Config config)
-    : topo_(topo), config_(config), jitter_rng_(config.jitter_seed) {
+    : topo_(topo), config_(config), jitter_rng_(kJitterSeed) {
   MDO_CHECK(topo_ != nullptr);
   std::size_t c = topo_->num_clusters();
   link_free_.assign(c * c, 0);
@@ -15,7 +21,7 @@ GridLatencyModel::GridLatencyModel(const Topology* topo, Config config)
 
 void GridLatencyModel::reset() {
   std::fill(link_free_.begin(), link_free_.end(), 0);
-  jitter_rng_ = SplitMix64(config_.jitter_seed);
+  jitter_rng_ = SplitMix64(kJitterSeed);
 }
 
 sim::TimeNs GridLatencyModel::delivery_delay(NodeId src, NodeId dst,

@@ -56,7 +56,6 @@ class GridLatencyModel final : public LatencyModel {
                                                         ///< real-grid mode overrides
     bool wan_contention = false;  ///< serialize the WAN link per direction
     double wan_jitter_fraction = 0.0;  ///< uniform extra in [0, f·α_wan]
-    std::uint64_t jitter_seed = 0x5eedULL;
     /// Consult the Topology's per-directed-pair WAN link table for
     /// inter-cluster hops, falling back to `inter` for pairs without an
     /// entry. Off by default: the paper's artificial mode keeps physical

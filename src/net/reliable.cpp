@@ -21,6 +21,11 @@ constexpr std::uint32_t kDupThreshold = 3;
 constexpr std::uint8_t kTxSaturated = 255;
 /// Floor of the RTO's variance term (RFC 9002's kGranularity).
 constexpr sim::TimeNs kGranularity = sim::milliseconds(1.0);
+/// A frame's RTO grows by this factor per timeout resend, up to kRtoMax.
+constexpr double kRtoBackoff = 2.0;
+constexpr sim::TimeNs kRtoMax = sim::seconds(4.0);
+/// Per-peer quarantine byte bound (the frame bound is configurable).
+constexpr std::size_t kQuarantineMaxBytes = std::size_t{4} << 20;
 
 /// [seq:u32][type:u8][tx:u8][pad:2]; see the wire format in reliable.hpp.
 constexpr std::size_t kHeaderBytes = 8;
@@ -75,11 +80,9 @@ std::uint64_t sack_bitmap(const std::map<std::uint32_t, Packet>& buffered,
 ReliableDevice::ReliableDevice(ReliableConfig config, const Topology* topo)
     : config_(config), topo_(topo) {
   MDO_CHECK(config_.rto_initial > 0);
-  MDO_CHECK(config_.rto_backoff >= 1.0);
-  MDO_CHECK(config_.rto_max >= config_.rto_initial);
+  MDO_CHECK(config_.rto_initial <= kRtoMax);
   MDO_CHECK(config_.give_up_budget > 0);
   MDO_CHECK(config_.quarantine_max_frames > 0);
-  MDO_CHECK(config_.quarantine_max_bytes > 0);
 }
 
 std::size_t ReliableDevice::unacked_frames() const {
@@ -115,7 +118,7 @@ std::optional<ReliableDevice::RttEstimate> ReliableDevice::flow_rtt(
 sim::TimeNs ReliableDevice::fresh_rto(const SenderFlow& flow) const {
   if (!flow.rtt.has_value()) return config_.rto_initial;
   return std::min(flow.rtt->srtt + std::max(kGranularity, 4 * flow.rtt->rttvar),
-                  config_.rto_max);
+                  kRtoMax);
 }
 
 ReliableDevice::Quarantine* ReliableDevice::quarantined(NodeId peer) {
@@ -129,11 +132,6 @@ bool ReliableDevice::peer_quarantined(NodeId peer) const {
   return it != quarantine_.end() && it->second.active;
 }
 
-bool ReliableDevice::peer_congested(NodeId peer) const {
-  auto it = quarantine_.find(peer);
-  return it != quarantine_.end() && it->second.congested;
-}
-
 void ReliableDevice::note_quarantine_peaks(const Quarantine& q) {
   counters_.quarantine_peak_frames =
       std::max<std::uint64_t>(counters_.quarantine_peak_frames, q.frames);
@@ -144,7 +142,7 @@ void ReliableDevice::note_quarantine_peaks(const Quarantine& q) {
 void ReliableDevice::maybe_trip_congestion(NodeId peer, Quarantine& q) {
   if (q.congested) return;
   if (q.frames >= config_.quarantine_max_frames ||
-      q.bytes >= config_.quarantine_max_bytes) {
+      q.bytes >= kQuarantineMaxBytes) {
     q.congested = true;
     ++counters_.backpressure_events;
     if (on_congestion_change_) on_congestion_change_(peer, true);
@@ -301,8 +299,8 @@ void ReliableDevice::on_timeout(const FlowKey& key, sim::TimeNs fire_at) {
       if (!pending.resendable() || pending.deadline() > now) continue;
       pending.rto = std::min(
           static_cast<sim::TimeNs>(static_cast<double>(pending.rto) *
-                                   config_.rto_backoff),
-          config_.rto_max);
+                                   kRtoBackoff),
+          kRtoMax);
       resend(flow, pending, now);
     }
   }

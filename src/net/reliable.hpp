@@ -29,7 +29,7 @@
 // ambiguity, so a resent frame samples as cleanly as any other. Each flow
 // keeps SRTT and RTTVAR in integer nanoseconds (gains 1/8 and 1/4), and a
 // frame that is sent, or replayed after quarantine, starts with
-// RTO = SRTT + max(1 ms, 4 * RTTVAR), capped at rto_max. The 1 ms floor
+// RTO = SRTT + max(1 ms, 4 * RTTVAR), capped at 4 s. The 1 ms floor
 // is RFC 9002's timer granularity: on a deterministic link RTTVAR decays
 // to about zero, and one larger frame would then overrun the RTO. Before
 // its first sample a flow uses rto_initial. An ACK whose echo names an
@@ -40,8 +40,8 @@
 //
 // * Deadlines: a frame is resent on timeout only once it has gone
 //   unacked for its own RTO since its own last transmission, and only
-//   that frame's RTO backs off (rto_backoff, capped at rto_max); one loss
-//   never stretches the timeouts of the frames around it. Each flow keeps
+//   that frame's RTO doubles (capped at 4 s); one loss never stretches
+//   the timeouts of the frames around it. Each flow keeps
 //   a single fabric timer, armed at the earliest deadline and re-armed
 //   lazily when it fires: host_schedule cannot cancel, so a timer
 //   superseded by an earlier re-arm is recognized as stale and ignored.
@@ -75,8 +75,8 @@
 //   false unreachable verdict. Retransmission timers idle, and new
 //   outbound frames are framed and sequenced but *held* off the wire in
 //   the per-flow unacked map — which doubles as the quarantine buffer,
-//   bounded per peer by quarantine_max_frames/bytes. Hitting the bound
-//   trips the congestion callback, which the machines translate into
+//   bounded per peer by quarantine_max_frames frames or 4 MiB. Hitting
+//   the bound trips the congestion callback, which the machines translate into
 //   backpressure (senders park envelopes by priority) rather than
 //   unbounded memory growth. On demotion back to alive the held frames
 //   and the unacked ones the receiver has not SACKed replay in sequence
@@ -114,19 +114,16 @@ struct ReliableConfig {
   /// A flow's RTO until its first RTT sample; the estimate takes over
   /// from then on (see the file comment).
   sim::TimeNs rto_initial = sim::milliseconds(20.0);
-  double rto_backoff = 2.0;  ///< per-frame multiplier per timeout resend
-  sim::TimeNs rto_max = sim::seconds(4.0);
   /// Continuous no-progress fabric time before a flow is abandoned and
   /// the peer-unreachable callback fires. Time-based on purpose: the
   /// wall-clock meaning is identical on LAN and 10x-latency WAN links.
   /// Scenario::size_rto derives it from the static link table
   /// (24 * rto_initial).
   sim::TimeNs give_up_budget = sim::seconds(120.0);
-  /// Per-peer quarantine bound: once this many frames (or bytes) are
+  /// Per-peer quarantine bound: once this many frames (or 4 MiB) are
   /// held/unacked toward a suspect peer, the congestion callback trips
   /// and the runtime applies backpressure instead of buffering more.
   std::size_t quarantine_max_frames = 1024;
-  std::size_t quarantine_max_bytes = std::size_t{4} << 20;
 };
 
 class ReliableDevice final : public FilterDevice {
@@ -198,9 +195,6 @@ class ReliableDevice final : public FilterDevice {
   void abandon_peer(NodeId peer);
 
   bool peer_quarantined(NodeId peer) const;
-  /// True while the peer's quarantine buffer sits at its bound and
-  /// senders should hold off. Latched until the quarantine ends.
-  bool peer_congested(NodeId peer) const;
   /// Fabric time of the most recent quarantine resume (0 if none) —
   /// the heal-to-resume clock for the partition sweep.
   sim::TimeNs last_resume_at() const { return last_resume_at_; }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/assert.hpp"
-
 namespace mdo {
 
 void RunningStats::add(double x) {
@@ -47,59 +45,5 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double percentile(std::vector<double> sample, double q) {
-  MDO_CHECK(q >= 0.0 && q <= 1.0);
-  if (sample.empty()) return 0.0;
-  std::sort(sample.begin(), sample.end());
-  if (sample.size() == 1) return sample[0];
-  double pos = q * static_cast<double>(sample.size() - 1);
-  auto lo = static_cast<std::size_t>(pos);
-  double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= sample.size()) return sample.back();
-  return sample[lo] * (1.0 - frac) + sample[lo + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  MDO_CHECK(hi > lo);
-  MDO_CHECK(bins > 0);
-}
-
-void Histogram::add(double x) {
-  if (std::isnan(x)) {
-    // A NaN sample has no defined bin: casting the NaN bin index to an
-    // integer is UB and in practice landed it in bin 0, silently
-    // skewing the low edge. Count it in the explicit overflow bin.
-    ++overflow_;
-    ++total_;
-    return;
-  }
-  if (std::isinf(x)) {
-    // Infinities behave like any other out-of-range value: clamp to the
-    // edge bin (the index cast below would be UB on them).
-    ++(x > 0.0 ? counts_.back() : counts_.front());
-    ++total_;
-    return;
-  }
-  double t = (x - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size());
-  auto i = static_cast<std::ptrdiff_t>(std::floor(t));
-  i = std::clamp<std::ptrdiff_t>(i, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(i)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t i) const { return bin_low(i + 1); }
-
-double coefficient_of_variation(const std::vector<double>& sample) {
-  RunningStats s;
-  for (double x : sample) s.add(x);
-  if (s.count() == 0 || s.mean() == 0.0) return 0.0;
-  return s.stddev() / s.mean();
-}
 
 }  // namespace mdo

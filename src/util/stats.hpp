@@ -1,10 +1,8 @@
 #pragma once
-// Streaming and batch statistics used by the load-balance database, the
+// Streaming statistics used by the load-balance database, the
 // benchmark harnesses, and the tests that assert distributional bounds.
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace mdo {
 
@@ -31,35 +29,5 @@ class RunningStats {
   double max_ = 0.0;
   double sum_ = 0.0;
 };
-
-/// Batch percentile over a stored sample (linear interpolation).
-double percentile(std::vector<double> sample, double q);
-
-/// Fixed-bin histogram over [lo, hi); out-of-range values clamp to the
-/// first/last bin. Used for per-PE utilization summaries.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  /// Samples that fit no bin (NaN); counted in total() but in no bin.
-  /// Out-of-range finite values still clamp to the edge bins.
-  std::size_t overflow() const { return overflow_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t overflow_ = 0;
-};
-
-/// Coefficient of variation of a sample (stddev/mean); 0 for empty/zero-mean.
-double coefficient_of_variation(const std::vector<double>& sample);
 
 }  // namespace mdo

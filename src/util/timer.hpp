@@ -19,7 +19,6 @@ class WallTimer {
   }
 
   double elapsed_ms() const { return static_cast<double>(elapsed_ns()) / 1e6; }
-  double elapsed_s() const { return static_cast<double>(elapsed_ns()) / 1e9; }
 
  private:
   using Clock = std::chrono::steady_clock;

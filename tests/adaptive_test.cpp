@@ -86,7 +86,7 @@ TEST(AdaptiveSim, FixedLinkConvergesToStaticKnobsAndHoldsStill) {
 
   StencilRun run = run_adaptive_stencil(s, 8, sim::milliseconds(400.0));
 
-  EXPECT_GT(run.counters.samples, s.adaptive.warmup_samples);
+  EXPECT_GT(run.counters.samples, net::AdaptiveController::kWarmupSamples);
   EXPECT_EQ(run.counters.retunes_total, 0u);
   EXPECT_EQ(run.counters.window_widened, 0u);
   EXPECT_EQ(run.counters.window_narrowed, 0u);
@@ -120,9 +120,9 @@ TEST(AdaptiveSim, LinkDegradationWidensWindowToNewStaticOptimum) {
   const auto optimum = sim::milliseconds(1.0);
   EXPECT_EQ(optimum, s.adaptive.max_flush_window);
   EXPECT_LE(run.final_window, optimum);
-  EXPECT_GE(run.final_window,
-            static_cast<sim::TimeNs>(static_cast<double>(optimum) /
-                                     (1.0 + s.adaptive.hysteresis)));
+  constexpr double h = net::AdaptiveController::kHysteresis;
+  EXPECT_GE(run.final_window, static_cast<sim::TimeNs>(
+                                  static_cast<double>(optimum) / (1.0 + h)));
 }
 
 TEST(AdaptiveSim, RetuneNeverWidensDetectionWindow) {
@@ -165,7 +165,7 @@ TEST(AdaptiveSim, RetuneNeverWidensDetectionWindow) {
   app.run_steps(20);
 
   const sim::TimeNs detector_bound = s.heartbeat.period / 2;
-  EXPECT_EQ(ctl->config().detector_clamp, detector_bound);
+  EXPECT_EQ(ctl->detector_clamp(), detector_bound);
   EXPECT_GE(ctl->counters().window_widened, 1u);
   EXPECT_GE(ctl->counters().window_clamped_detector, 1u);
   EXPECT_EQ(ctl->flush_window(), detector_bound);
@@ -314,10 +314,10 @@ TEST(AdaptiveParity, SimAndThreadControllersDecideIdentically) {
     ASSERT_EQ(a->compress_on(), b->compress_on()) << "step " << i;
     ASSERT_EQ(a->rtt_ewma_ns(), b->rtt_ewma_ns()) << "step " << i;
     // Knob invariants hold at every step, not just at the end.
-    ASSERT_GE(a->flush_window(), s.adaptive.min_flush_window);
+    ASSERT_GE(a->flush_window(), net::AdaptiveController::kMinFlushWindow);
     ASSERT_LE(a->flush_window(), s.adaptive.max_flush_window);
-    ASSERT_GE(a->rails(), s.adaptive.min_rails);
-    ASSERT_LE(a->rails(), s.adaptive.max_rails);
+    ASSERT_GE(a->rails(), net::AdaptiveController::kMinRails);
+    ASSERT_LE(a->rails(), net::AdaptiveController::kMaxRails);
   }
   // The script exercised every loop: the degradation widened the
   // window, the loss burst narrowed the rails (and the calm widened
@@ -370,7 +370,7 @@ TEST(AdaptiveThread, ControllerSamplesLiveTrafficAndHoldsKnobsInBounds) {
 
   EXPECT_EQ(proxy.local(Index(3))->value, 10);
   EXPECT_GE(ctl->counters().samples, 1u);
-  EXPECT_GE(ctl->flush_window(), s.adaptive.min_flush_window);
+  EXPECT_GE(ctl->flush_window(), net::AdaptiveController::kMinFlushWindow);
   EXPECT_LE(ctl->flush_window(), s.adaptive.max_flush_window);
   EXPECT_EQ(tm->reliability().reliable->counters().flows_abandoned, 0u);
 }

@@ -154,15 +154,15 @@ TEST(BackendParity, TraceSchemaAgrees) {
 }
 
 TEST(BackendParity, ShardedSchedulerKeepsReductionsAndShardSchemaAligned) {
-  // The sharded delivery path (per-PE run queues + MPSC handoff rings)
-  // must be invisible at the message layer: the reduced value stays
-  // bitwise identical, and every backend publishes the same
-  // rt.sched.shard.* schema — handoffs/handoff_batches/handoff_fallbacks
-  // counters plus a shards gauge equal to the PE count (the process
-  // backend sums one single-shard source per forked PE).
-  const std::set<std::string> want = {
-      "rt.sched.shard.handoff_batches", "rt.sched.shard.handoff_fallbacks",
-      "rt.sched.shard.handoffs", "rt.sched.shard.shards"};
+  // The sharded delivery path (one queue per PE: a mailbox on the
+  // wall-clock backends) must be invisible at the message layer: the
+  // reduced value stays bitwise identical, and every backend publishes
+  // the same rt.sched.shard.* schema — handoffs/handoff_batches counters
+  // plus a shards gauge equal to the PE count (the process backend sums
+  // one single-shard source per forked PE).
+  const std::set<std::string> want = {"rt.sched.shard.handoff_batches",
+                                      "rt.sched.shard.handoffs",
+                                      "rt.sched.shard.shards"};
   ParityRun ref = run_reduction(grid::Backend::kSim, 3);
   for (grid::Backend b : kBackends) {
     ParityRun r = run_reduction(b, 3);

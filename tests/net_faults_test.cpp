@@ -371,7 +371,7 @@ TEST(ReliableSimTest, OneTimeoutBacksOffOnlyTheLostFrame) {
   // (two SACKs, short of a fast retransmit) and 21 more leave just
   // before frame 0's deadline, so 24 frames are unacked when it expires
   // at 500 us. Only frame 0 may back off: a flow-wide backoff per
-  // overdue frame would stretch every neighbour toward rto_max and,
+  // overdue frame would stretch every neighbour toward the 4 s cap and,
   // under a give-up budget, abandon a healthy flow. Every other frame
   // keeps the RTO it was sent with: 500 us for frames 1 and 2, sent
   // before any sample, and the estimate's 1.2 ms for frames 3 on, sent

@@ -610,7 +610,8 @@ TEST_P(AdaptiveFuzz, RandomLinkSchedulesNeverBreakInvariants) {
     // Invariants, regardless of what the schedule did to the estimators.
     const sim::TimeNs detector_bound = hb.period / 2;
     EXPECT_GT(ctl->counters().samples, 0u) << "seed " << seed;
-    EXPECT_GE(ctl->flush_window(), acfg.min_flush_window) << "seed " << seed;
+    EXPECT_GE(ctl->flush_window(), net::AdaptiveController::kMinFlushWindow)
+        << "seed " << seed;
     EXPECT_LE(ctl->flush_window(), acfg.max_flush_window) << "seed " << seed;
     EXPECT_LE(ctl->flush_window(), detector_bound) << "seed " << seed;
     for (net::NodeId src : {0, 1}) {
@@ -622,8 +623,10 @@ TEST_P(AdaptiveFuzz, RandomLinkSchedulesNeverBreakInvariants) {
       }
     }
     if (stack.stripe != nullptr) {
-      EXPECT_GE(stack.stripe->rails(), acfg.min_rails) << "seed " << seed;
-      EXPECT_LE(stack.stripe->rails(), acfg.max_rails) << "seed " << seed;
+      EXPECT_GE(stack.stripe->rails(), net::AdaptiveController::kMinRails)
+          << "seed " << seed;
+      EXPECT_LE(stack.stripe->rails(), net::AdaptiveController::kMaxRails)
+          << "seed " << seed;
     }
     EXPECT_EQ(stack.reliable->counters().flows_abandoned, 0u)
         << "seed " << seed;

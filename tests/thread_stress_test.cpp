@@ -8,7 +8,8 @@
 // (cmake --preset tsan) can prove the freelists are race-free. It also
 // runs in the regular build as a plain correctness stress. The same
 // suite snapshots a lossy, heartbeating machine's metrics from the test
-// thread, which must not race the devices the snapshot reads.
+// thread, which must not race the devices the snapshot reads, and kills
+// a PE while another floods it, which its worker must drain.
 
 #include <gtest/gtest.h>
 
@@ -145,6 +146,54 @@ TEST(ThreadStress, MetricSnapshotsOffTheFabricThreadDoNotRaceDevices) {
   EXPECT_EQ(hits, static_cast<std::int64_t>(kChains) * (kHops + 1));
   EXPECT_EQ(m.reliability().reliable->counters().flows_abandoned, 0u);
   EXPECT_EQ(m.pes_killed(), 0u);
+}
+
+struct Flood : Chare {
+  std::atomic<std::int64_t> absorbed{0};
+
+  /// Element 0: post `burst` messages to element 1, pause, and re-post
+  /// itself until `rounds` runs out, so the flood lasts a while.
+  void flood(int rounds, int burst) {
+    auto proxy = runtime().proxy<Flood>(array_id());
+    for (int i = 0; i < burst; ++i) proxy.send<&Flood::absorb>(Index(1));
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    if (rounds > 1) proxy.send<&Flood::flood>(index(), rounds - 1, burst);
+  }
+
+  /// Element 1: slower than the flood, so its PE's mailbox backs up.
+  void absorb() {
+    absorbed.fetch_add(1, std::memory_order_relaxed);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+
+  void pup(Pup& p) override { Chare::pup(p); }
+};
+
+TEST(ThreadStress, PeKilledMidPhaseWhileFloodedDrainsItsMailbox) {
+  // PE 1 dies with a backlog in its mailbox while PE 0 keeps sending to
+  // it. Its worker must pop and drop the backlog and every later
+  // arrival, so the phase still quiesces and every message is either
+  // executed or dropped.
+  constexpr int kRounds = 200;
+  constexpr int kBurst = 20;
+  Runtime rt(make_machine(2));
+  auto proxy = rt.create_array<Flood>(
+      "flood", core::indices_1d(2), core::round_robin_map(2),
+      [](const Index&) { return std::make_unique<Flood>(); });
+  proxy.send<&Flood::flood>(Index(0), kRounds, kBurst);
+  while (proxy.local(Index(1))->absorbed.load() < 50) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  rt.machine().kill_pe(1);
+  rt.run();
+
+  const obs::Snapshot snap = rt.machine().metrics().snapshot();
+  EXPECT_EQ(snap.counter("rt.sched.msgs_sent"),
+            snap.counter("rt.sched.msgs_executed") +
+                snap.counter("rt.sched.msgs_dropped"));
+  EXPECT_GT(rt.machine().pe_stats(1).msgs_dropped, 0u);
+  EXPECT_LT(proxy.local(Index(1))->absorbed.load(), kRounds * kBurst);
+  EXPECT_EQ(snap.gauge("rt.sched.queue_depth"), 0.0);
 }
 
 TEST(ThreadStress, RepeatedRunsReuseWarmPools) {

@@ -1,19 +1,12 @@
-// RunningStats, percentiles, histograms.
+// RunningStats and the seeded RNG.
 
 #include <gtest/gtest.h>
-
-#include <cmath>
-#include <limits>
-#include <vector>
 
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace {
 
-using mdo::coefficient_of_variation;
-using mdo::Histogram;
-using mdo::percentile;
 using mdo::RunningStats;
 
 TEST(RunningStats, EmptyIsZero) {
@@ -58,71 +51,6 @@ TEST(RunningStats, MergeMatchesSequential) {
   EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
   EXPECT_DOUBLE_EQ(a.min(), all.min());
   EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(Percentile, InterpolatesLinearly) {
-  std::vector<double> v{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0), 40.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.5), 25.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0 / 3.0), 20.0);
-}
-
-TEST(Percentile, HandlesUnsortedInput) {
-  std::vector<double> v{40, 10, 30, 20};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.5), 25.0);
-}
-
-TEST(Percentile, EmptyAndSingle) {
-  EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(percentile({7.0}, 0.9), 7.0);
-}
-
-TEST(HistogramTest, BinsAndClamps) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.9);   // bin 4
-  h.add(-3.0);  // clamps to bin 0
-  h.add(42.0);  // clamps to bin 4
-  h.add(5.0);   // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_low(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(2), 6.0);
-}
-
-TEST(HistogramTest, NanGoesToOverflowNotBinZero) {
-  // Regression: a NaN sample used to land in bin 0 (the NaN bin index
-  // cast to an integer is UB that resolved to the low clamp), skewing
-  // the low edge of every histogram fed an undefined sample.
-  Histogram h(0.0, 10.0, 5);
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(h.total(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  for (std::size_t i = 0; i < h.bins(); ++i) EXPECT_EQ(h.bin_count(i), 0u);
-}
-
-TEST(HistogramTest, InfinitiesClampToEdgeBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(std::numeric_limits<double>::infinity());
-  h.add(-std::numeric_limits<double>::infinity());
-  EXPECT_EQ(h.total(), 2u);
-  EXPECT_EQ(h.overflow(), 0u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-}
-
-TEST(CoefficientOfVariation, UniformLoadIsZero) {
-  EXPECT_DOUBLE_EQ(coefficient_of_variation({5, 5, 5, 5}), 0.0);
-}
-
-TEST(CoefficientOfVariation, KnownValue) {
-  // mean 3, sample stddev sqrt(4) = 2 over {1,5,1,5}? sum sq dev = 16,
-  // var = 16/3.
-  double cv = coefficient_of_variation({1, 5, 1, 5});
-  EXPECT_NEAR(cv, std::sqrt(16.0 / 3.0) / 3.0, 1e-12);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
