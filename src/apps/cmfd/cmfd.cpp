@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "apps/phase.hpp"
 #include "core/mapping.hpp"
 #include "util/assert.hpp"
 
@@ -318,30 +319,16 @@ CmfdApp::CmfdApp(core::Runtime& rt, Params params) : rt_(&rt), params_(params) {
 
 CmfdApp::PhaseResult CmfdApp::run_iters(std::int32_t iters) {
   MDO_CHECK(iters > 0);
-  net::Fabric::Stats before = rt_->machine().fabric_stats();
-  obs::Snapshot metrics_before = rt_->machine().metrics().snapshot();
-  const std::int32_t phase = phase_++;
-  rt_->machine().trace_phase(phase);
-  sim::TimeNs t0 = rt_->now();
-  proxy_.broadcast<&Tile::resume_iters>(iters);
-  rt_->run();
-  rt_->machine().trace_phase(phase);
-  net::Fabric::Stats after = rt_->machine().fabric_stats();
+  Phase phase = run_phase(*rt_, phase_++, [&] {
+    proxy_.broadcast<&Tile::resume_iters>(iters);
+  });
 
   PhaseResult result;
   result.iters = iters;
-  result.elapsed = rt_->now() - t0;
+  result.elapsed = phase.elapsed;
   result.ms_per_iter = sim::to_ms(result.elapsed) / iters;
-  result.fabric.packets_sent = after.packets_sent - before.packets_sent;
-  result.fabric.bytes_sent = after.bytes_sent - before.bytes_sent;
-  result.fabric.packets_delivered =
-      after.packets_delivered - before.packets_delivered;
-  result.fabric.wan_packets = after.wan_packets - before.wan_packets;
-  result.fabric.wan_bytes = after.wan_bytes - before.wan_bytes;
-  result.fabric.wire_frames = after.wire_frames - before.wire_frames;
-  result.fabric.wan_wire_frames =
-      after.wan_wire_frames - before.wan_wire_frames;
-  result.metrics = rt_->machine().metrics().snapshot().diff(metrics_before);
+  result.fabric = phase.fabric;
+  result.metrics = std::move(phase.metrics);
   return result;
 }
 

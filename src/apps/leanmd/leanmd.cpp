@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 
+#include "apps/phase.hpp"
 #include "core/mapping.hpp"
 #include "util/assert.hpp"
 
@@ -352,30 +353,16 @@ LeanMdApp::LeanMdApp(core::Runtime& rt, Params params)
 
 LeanMdApp::PhaseResult LeanMdApp::run_steps(std::int32_t steps) {
   MDO_CHECK(steps > 0);
-  net::Fabric::Stats before = rt_->machine().fabric_stats();
-  obs::Snapshot metrics_before = rt_->machine().metrics().snapshot();
-  const std::int32_t phase = phase_++;
-  rt_->machine().trace_phase(phase);
-  sim::TimeNs t0 = rt_->now();
-  cells_.broadcast<&Cell::resume_steps>(steps);
-  rt_->run();
-  rt_->machine().trace_phase(phase);
-  net::Fabric::Stats after = rt_->machine().fabric_stats();
+  Phase phase = run_phase(*rt_, phase_++, [&] {
+    cells_.broadcast<&Cell::resume_steps>(steps);
+  });
 
   PhaseResult result;
   result.steps = steps;
-  result.elapsed = rt_->now() - t0;
+  result.elapsed = phase.elapsed;
   result.s_per_step = sim::to_s(result.elapsed) / steps;
-  result.fabric.packets_sent = after.packets_sent - before.packets_sent;
-  result.fabric.bytes_sent = after.bytes_sent - before.bytes_sent;
-  result.fabric.packets_delivered =
-      after.packets_delivered - before.packets_delivered;
-  result.fabric.wan_packets = after.wan_packets - before.wan_packets;
-  result.fabric.wan_bytes = after.wan_bytes - before.wan_bytes;
-  result.fabric.wire_frames = after.wire_frames - before.wire_frames;
-  result.fabric.wan_wire_frames =
-      after.wan_wire_frames - before.wan_wire_frames;
-  result.metrics = rt_->machine().metrics().snapshot().diff(metrics_before);
+  result.fabric = phase.fabric;
+  result.metrics = std::move(phase.metrics);
   return result;
 }
 

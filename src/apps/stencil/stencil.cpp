@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "apps/phase.hpp"
 #include "core/mapping.hpp"
 #include "util/assert.hpp"
 
@@ -241,23 +242,18 @@ StencilApp::StencilApp(core::Runtime& rt, Params params)
 
 StencilApp::PhaseResult StencilApp::run_steps(std::int32_t steps) {
   MDO_CHECK(steps > 0);
-  net::Fabric::Stats before = rt_->machine().fabric_stats();
-  obs::Snapshot metrics_before = rt_->machine().metrics().snapshot();
-  const std::int32_t phase = phase_++;
-  rt_->machine().trace_phase(phase);
-  sim::TimeNs t0 = rt_->now();
-  proxy_.broadcast<&Chunk::resume_steps>(steps);
-  rt_->run();
-  rt_->machine().trace_phase(phase);
-  net::Fabric::Stats after = rt_->machine().fabric_stats();
+  Phase phase = run_phase(*rt_, phase_++, [&] {
+    proxy_.broadcast<&Chunk::resume_steps>(steps);
+  });
 
   PhaseResult result;
   result.steps = steps;
-  result.elapsed = rt_->now() - t0;
+  result.elapsed = phase.elapsed;
   result.ms_per_step = sim::to_ms(result.elapsed) / steps;
   // App-level completion: the latest chunk's final-step timestamp. Falls
   // back to quiescence time if any chunk is unreachable (never with the
   // in-process machines).
+  const sim::TimeNs t0 = phase.start;
   sim::TimeNs finished = 0;
   bool all_local = true;
   const std::int32_t edge = params_.k();
@@ -274,16 +270,8 @@ StencilApp::PhaseResult StencilApp::run_steps(std::int32_t steps) {
   result.app_elapsed = all_local && finished > t0 ? finished - t0
                                                   : result.elapsed;
   result.app_ms_per_step = sim::to_ms(result.app_elapsed) / steps;
-  result.fabric.packets_sent = after.packets_sent - before.packets_sent;
-  result.fabric.bytes_sent = after.bytes_sent - before.bytes_sent;
-  result.fabric.packets_delivered =
-      after.packets_delivered - before.packets_delivered;
-  result.fabric.wan_packets = after.wan_packets - before.wan_packets;
-  result.fabric.wan_bytes = after.wan_bytes - before.wan_bytes;
-  result.fabric.wire_frames = after.wire_frames - before.wire_frames;
-  result.fabric.wan_wire_frames =
-      after.wan_wire_frames - before.wan_wire_frames;
-  result.metrics = rt_->machine().metrics().snapshot().diff(metrics_before);
+  result.fabric = phase.fabric;
+  result.metrics = std::move(phase.metrics);
   return result;
 }
 

@@ -127,7 +127,6 @@ class StencilApp {
   core::Runtime* rt_;
   Params params_;
   core::ArrayProxy<Chunk> proxy_;
-  bool started_ = false;
   std::int32_t phase_ = 0;  ///< run_steps calls so far (phase-marker id)
 };
 

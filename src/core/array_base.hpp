@@ -83,8 +83,9 @@ class ArrayBase {
     shard_erase(it->second.pe, index);
     std::unique_ptr<Chare> out = std::move(it->second.object);
     elems_.erase(it);
-    // order_ keeps the index: the element is about to be re-inserted on
-    // its destination PE under the same index.
+    // The index leaves order_ too; insert() appends it again, so an
+    // element that is extracted and re-inserted (migration, recovery)
+    // moves to the end of all_indices().
     for (auto pos = order_.begin(); pos != order_.end(); ++pos) {
       if (*pos == index) {
         order_.erase(pos);
@@ -94,6 +95,8 @@ class ArrayBase {
     return out;
   }
 
+  /// Insertion order: creation order, except that a re-inserted element
+  /// comes after every element that stayed put.
   const std::vector<Index>& all_indices() const { return order_; }
 
   /// Deliver-side iteration over one PE's partition in deterministic

@@ -6,14 +6,11 @@
 
 namespace mdo::core {
 
-FaultTolerance::FaultTolerance(Runtime& rt, const net::ReliabilityStack& stack,
-                               FtConfig config)
+FaultTolerance::FaultTolerance(Runtime& rt, const net::ReliabilityStack& stack)
     : rt_(&rt),
       stack_(&stack),
-      config_(config),
       flagged_(static_cast<std::size_t>(rt.num_pes()), false),
       flagged_at_(static_cast<std::size_t>(rt.num_pes()), 0) {
-  MDO_CHECK(config_.checkpoint_bandwidth_bytes_per_us > 0);
   if (stack_->heartbeat != nullptr) {
     // Fires only on confirmed death (suspect aged past the confirm
     // window with indirect probes unanswered), never on mere suspicion.
@@ -115,12 +112,9 @@ void FaultTolerance::checkpoint() {
   ++checkpoints_;
   // Two copies cross the memory system (one stays home, one travels to
   // the buddy); charge both against the modeled copy bandwidth.
-  const double us = static_cast<double>(stored_bytes_) * 2.0 /
-                    config_.checkpoint_bandwidth_bytes_per_us;
+  const double us = static_cast<double>(stored_bytes_) * 2.0 / kCopyBytesPerUs;
   last_checkpoint_cost_ = sim::microseconds(us);
-  if (config_.charge_checkpoint_time) {
-    rt_->machine().advance_time(last_checkpoint_cost_);
-  }
+  rt_->machine().advance_time(last_checkpoint_cost_);
 }
 
 RecoveryReport FaultTolerance::recover() {
@@ -174,11 +168,8 @@ RecoveryReport FaultTolerance::recover() {
   }
   // Restoring ships one copy of every blob (survivors read theirs from
   // local memory, lost ones cross from the buddy; charge the total).
-  if (config_.charge_checkpoint_time) {
-    const double us = static_cast<double>(report.restored_bytes) /
-                      config_.checkpoint_bandwidth_bytes_per_us;
-    rt_->machine().advance_time(sim::microseconds(us));
-  }
+  rt_->machine().advance_time(sim::microseconds(
+      static_cast<double>(report.restored_bytes) / kCopyBytesPerUs));
   // Re-checkpoint immediately: a second crash must not roll back past
   // this recovery point (and the new buddy assignments avoid the dead).
   checkpoint();

@@ -46,15 +46,6 @@
 
 namespace mdo::core {
 
-struct FtConfig {
-  /// Modeled copy bandwidth for checkpoint time accounting (matches the
-  /// per-byte charge the load balancers use for migrations).
-  double checkpoint_bandwidth_bytes_per_us = 250.0;
-  /// Charge checkpoint copy time to the machine clock (SimMachine only;
-  /// advance_time is a no-op on ThreadMachine).
-  bool charge_checkpoint_time = true;
-};
-
 struct RecoveryReport {
   std::vector<Pe> dead;                   ///< PEs lost in this recovery
   std::size_t elements_restored = 0;      ///< rebuilt from buddy copies
@@ -81,8 +72,7 @@ class FaultTolerance {
   /// and only the suspect→dead confirmation triggers recovery. The stack
   /// may lack either device; detection then relies on the other signal
   /// (or on the machine's own alive_pes ground truth at recover).
-  FaultTolerance(Runtime& rt, const net::ReliabilityStack& stack,
-                 FtConfig config = {});
+  FaultTolerance(Runtime& rt, const net::ReliabilityStack& stack);
 
   void set_placement(PlacementFn fn) { placement_ = std::move(fn); }
 
@@ -116,6 +106,12 @@ class FaultTolerance {
   /// Machine time the last checkpoint() call charged.
   sim::TimeNs last_checkpoint_cost() const { return last_checkpoint_cost_; }
 
+  /// Modeled copy bandwidth for checkpoint and restore time (the
+  /// per-byte charge the load balancers use for migrations). The charge
+  /// goes through Machine::advance_time, so it moves only the virtual
+  /// clock; the wall-clock backends ignore it.
+  static constexpr double kCopyBytesPerUs = 250.0;
+
  private:
   struct Snapshot {
     Pe owner = kInvalidPe;
@@ -129,7 +125,6 @@ class FaultTolerance {
 
   Runtime* rt_;
   const net::ReliabilityStack* stack_;
-  FtConfig config_;
   PlacementFn placement_;
 
   // One blob per element, keyed (array, index); map iteration gives a

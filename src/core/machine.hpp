@@ -119,11 +119,6 @@ class Machine {
   }
   std::vector<bool> alive_pes() const;
 
-  /// Message-layer counters (packets/bytes, WAN share).
-  virtual net::Fabric::Stats fabric_stats() const {
-    return local_fabric()->stats();
-  }
-
   /// Advance the clock without work (SimMachine only; models host-driven
   /// phases such as load-balancing time). Default: no-op.
   virtual void advance_time(sim::TimeNs) {}

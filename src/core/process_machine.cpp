@@ -540,7 +540,6 @@ ProcessMachine::CtlStatus ProcessMachine::local_status() {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     s.stats = stats_;
   }
-  s.fstats = fabric_ ? fabric_->stats() : net::Fabric::Stats{};
   // A child is idle while its main thread waits on an empty mailbox;
   // the parent runs this between its own executions.
   const bool idle =
@@ -773,26 +772,6 @@ Machine::SchedulerSample ProcessMachine::scheduler_sample() const {
   s.shards = 1;
   s.trace = trace_.stats();
   return s;
-}
-
-net::Fabric::Stats ProcessMachine::fabric_stats() const {
-  if (!fabric_) return {};
-  net::Fabric::Stats total = fabric_->stats();
-  if (role_ != Role::kParent || !forked_) return total;
-  for (Pe pe = 1; pe < num_pes(); ++pe) {
-    const_cast<ProcessMachine*>(this)->refresh_status(pe);
-    const auto& f = cached_status_[static_cast<std::size_t>(pe)].fstats;
-    total.packets_sent += f.packets_sent;
-    total.bytes_sent += f.bytes_sent;
-    total.packets_delivered += f.packets_delivered;
-    total.wan_packets += f.wan_packets;
-    total.wan_bytes += f.wan_bytes;
-    total.frames_injected += f.frames_injected;
-    total.dead_node_drops += f.dead_node_drops;
-    total.wire_frames += f.wire_frames;
-    total.wan_wire_frames += f.wan_wire_frames;
-  }
-  return total;
 }
 
 std::vector<TraceEvent> ProcessMachine::trace() const {

@@ -74,7 +74,6 @@ class ProcessMachine final : public Machine {
   void run() override;
   void stop() override;
   PeStats pe_stats(Pe pe) const override;
-  net::Fabric::Stats fabric_stats() const override;
   /// Before the fork, `fn` is staged and replayed into *every* process's
   /// fabric at the fork (scenario link-drift schedules); afterwards it
   /// runs in the posting process only, on its network thread.
@@ -145,11 +144,8 @@ class ProcessMachine final : public Machine {
   struct CtlStatus {
     std::vector<std::uint64_t> sent_to, acct_from, undeliv_to;
     PeStats stats;
-    net::Fabric::Stats fstats;
     std::uint8_t idle = 0;
-    void pup(Pup& p) {
-      p | sent_to | acct_from | undeliv_to | stats | fstats | idle;
-    }
+    void pup(Pup& p) { p | sent_to | acct_from | undeliv_to | stats | idle; }
   };
   struct CtlBlob {
     ArrayId array = 0;

@@ -152,6 +152,13 @@ void Runtime::multicast_entry(ArrayId array_id, std::span<const Index> targets,
     Pe hop = multicast_relay(tree_, topology(), self, arr.location(index));
     by_pe[hop].push_back(index);
   }
+  post_multicast(array_id, entry, priority, by_pe, args);
+}
+
+void Runtime::post_multicast(ArrayId array_id, EntryId entry,
+                             Priority priority,
+                             std::map<Pe, std::vector<Index>>& by_pe,
+                             Bytes& args) {
   for (auto& [pe, list] : by_pe) {
     Envelope env;
     env.kind = MsgKind::kMulticast;
@@ -286,22 +293,7 @@ void Runtime::deliver_multicast(Envelope& env) {
       forward[arr.location(index)].push_back(index);
     }
   }
-  for (auto& [pe, list] : forward) {
-    Envelope fwd;
-    fwd.kind = MsgKind::kMulticast;
-    fwd.dst_pe = pe;
-    fwd.array = env.array;
-    fwd.entry = env.entry;
-    fwd.priority = env.priority;
-    Bytes packed = ScratchArena::local().take();
-    Pup sizer = Pup::sizer();
-    sizer | list | args;
-    packed.reserve(sizer.size());
-    Pup packer = Pup::packer(packed);
-    packer | list | args;
-    fwd.payload = PayloadBuf::adopt(std::move(packed));
-    post(std::move(fwd));
-  }
+  post_multicast(env.array, env.entry, env.priority, forward, args);
 }
 
 void Runtime::deliver_host_call(Envelope& env) {
@@ -319,21 +311,28 @@ void Runtime::deliver_host_call(Envelope& env) {
 }
 
 void Runtime::deliver_migrate(Envelope& env) {
-  ArrayRec& r = rec(env.array);
+  MDO_CHECK_MSG(rec(env.array).array->contains(env.index),
+                "migrate envelope for unknown element");
+  // Destroys the stale origin instance.
+  rebuild_element(env.array, env.index, current_pe(), env.payload);
+  ++migrations_;
+  migration_bytes_ += env.payload.size();
+}
+
+void Runtime::rebuild_element(ArrayId array_id, const Index& index, Pe pe,
+                              std::span<const std::byte> state) {
+  ArrayRec& r = rec(array_id);
   ArrayBase& arr = *r.array;
-  MDO_CHECK_MSG(arr.contains(env.index), "migrate envelope for unknown element");
   std::unique_ptr<Chare> fresh = arr.make_element();
   {
-    Pup unpacker = Pup::unpacker(env.payload);
+    Pup unpacker = Pup::unpacker(state);
     fresh->pup(unpacker);
     MDO_CHECK_MSG(unpacker.bytes_remaining() == 0,
                   "element pup() is asymmetric between pack and unpack");
   }
-  fresh->install(this, env.array, env.index, current_pe());
-  arr.extract(env.index);  // destroys the stale origin instance
-  arr.insert(env.index, current_pe(), std::move(fresh));
-  ++migrations_;
-  migration_bytes_ += env.payload.size();
+  fresh->install(this, array_id, index, pe);
+  arr.extract(index);  // destroys the old instance
+  arr.insert(index, pe, std::move(fresh));
   r.subtree_dirty = true;
 }
 
@@ -511,35 +510,22 @@ void Runtime::migrate(ArrayId array_id, const Index& index, Pe to) {
   MDO_CHECK_MSG(machine_->shared_address_space(),
                 "in-place migrate requires a shared-address-space backend "
                 "(use migrate_async on ProcessMachine)");
-  ArrayRec& r = rec(array_id);
-  ArrayBase& arr = *r.array;
+  ArrayBase& arr = *rec(array_id).array;
   MDO_CHECK_MSG(arr.contains(index), "migrate of nonexistent element");
   Pe from = arr.location(index);
   if (from == to) return;
 
   // Pack, destroy, reconstruct, unpack: the full migration code path,
   // executed in-process because migration happens at quiescent points.
-  Chare* old_elem = arr.find(index);
   ScratchArena& arena = ScratchArena::local();
   Bytes state = arena.take();
   {
     Pup packer = Pup::packer(state);
-    old_elem->pup(packer);
+    arr.find(index)->pup(packer);
   }
-  std::unique_ptr<Chare> fresh = arr.make_element();
-  {
-    Pup unpacker = Pup::unpacker(state);
-    fresh->pup(unpacker);
-    MDO_CHECK_MSG(unpacker.bytes_remaining() == 0,
-                  "element pup() is asymmetric between pack and unpack");
-  }
-  fresh->install(this, array_id, index, to);
-  arr.extract(index);  // destroys the old element
-  arr.insert(index, to, std::move(fresh));
-
+  rebuild_element(array_id, index, to, state);
   ++migrations_;
   migration_bytes_ += state.size();
-  r.subtree_dirty = true;
   arena.give(std::move(state));
 }
 
@@ -559,22 +545,12 @@ void Runtime::set_collective_mode(TreeMode mode) {
 void Runtime::replace_element(ArrayId array_id, const Index& index, Pe to,
                               std::span<const std::byte> state) {
   MDO_CHECK(to >= 0 && to < num_pes());
-  ArrayRec& r = rec(array_id);
-  ArrayBase& arr = *r.array;
-  MDO_CHECK_MSG(arr.contains(index), "replace of nonexistent element");
-  std::unique_ptr<Chare> fresh = arr.make_element();
-  {
-    Pup unpacker = Pup::unpacker(state);
-    fresh->pup(unpacker);
-    MDO_CHECK_MSG(unpacker.bytes_remaining() == 0,
-                  "element pup() is asymmetric between pack and unpack");
-  }
-  fresh->install(this, array_id, index, to);
-  arr.extract(index);  // destroys the stale instance
-  arr.insert(index, to, std::move(fresh));
-  r.subtree_dirty = true;
+  MDO_CHECK_MSG(rec(array_id).array->contains(index),
+                "replace of nonexistent element");
+  rebuild_element(array_id, index, to, state);
   // Multi-process backends replicate the placement (and state) into
-  // every child process so location maps never diverge.
+  // every child process so location maps never diverge. Only this path
+  // broadcasts: a migration lands in one process by its own envelope.
   machine_->on_element_replaced(array_id, index, to, state);
 }
 
@@ -584,7 +560,7 @@ Bytes Runtime::checkpoint_array(ArrayId array_id) {
   Pup packer = Pup::packer(out);
   auto count = static_cast<std::uint64_t>(arr.num_elements());
   packer | count;
-  // Deterministic order: creation order.
+  // Deterministic order: all_indices(), i.e. insertion order.
   for (Index index : arr.all_indices()) {
     Pe pe = arr.location(index);
     Bytes state;

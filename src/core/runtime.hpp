@@ -166,6 +166,16 @@ class Runtime {
 
   void invoke_on(Chare& element, EntryId entry, std::span<const std::byte> args);
   void post(Envelope&& env);  ///< stamp seq/sent_at/src and hand to machine
+  /// Post one kMulticast envelope per PE of `by_pe`, carrying that PE's
+  /// target list and `args` once.
+  void post_multicast(ArrayId array, EntryId entry, Priority priority,
+                      std::map<Pe, std::vector<Index>>& by_pe, Bytes& args);
+  /// Swap `index`'s instance for a fresh one unpacked from `state` and
+  /// installed on `pe` (checking that pup() is symmetric), and mark the
+  /// subtree counts stale: the one rebuild path of migrate,
+  /// deliver_migrate and replace_element.
+  void rebuild_element(ArrayId array, const Index& index, Pe pe,
+                       std::span<const std::byte> state);
 
   // reductions
   ArrayRec& rec(ArrayId id);

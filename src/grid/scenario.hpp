@@ -225,9 +225,8 @@ struct Scenario {
 
   /// RLE compression of cross-cluster payloads (whole bundles when
   /// coalescing is on). Implies the reliability stack.
-  Scenario& with_compression(double cpu_ns_per_byte = 0.35) {
+  Scenario& with_compression() {
     compression.enabled = true;
-    compression.cpu_ns_per_byte = cpu_ns_per_byte;
     size_rto();
     return *this;
   }

@@ -17,9 +17,10 @@
 namespace mdo::net {
 
 /// Per-send accounting accumulated while a packet traverses the chain.
+/// Holds are per frame (Packet::hold_ns), since one send can leave the
+/// chain as several frames.
 struct SendContext {
-  sim::TimeNs extra_delay = 0;  ///< artificial hold time (delay device)
-  sim::TimeNs cpu_cost = 0;     ///< sender CPU spent transforming payloads
+  sim::TimeNs cpu_cost = 0;  ///< sender CPU spent transforming payloads
 };
 
 class FilterDevice;

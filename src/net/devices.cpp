@@ -44,20 +44,20 @@ void DelayDevice::set_cluster_delay(ClusterId src, ClusterId dst,
   cluster_delay_[{src, dst}] = delay;
 }
 
-void DelayDevice::on_send(Packet& packet, SendContext& ctx) {
+void DelayDevice::on_send(Packet& packet, SendContext&) {
   if (auto it = pair_delay_.find({packet.src, packet.dst});
       it != pair_delay_.end()) {
-    ctx.extra_delay += it->second;
+    packet.hold_ns += it->second;
     return;
   }
   ClusterId sc = topo_->cluster_of(packet.src);
   ClusterId dc = topo_->cluster_of(packet.dst);
   if (sc == dc) return;
   if (auto it = cluster_delay_.find({sc, dc}); it != cluster_delay_.end()) {
-    ctx.extra_delay += it->second;
+    packet.hold_ns += it->second;
     return;
   }
-  ctx.extra_delay += default_delay_;
+  packet.hold_ns += default_delay_;
 }
 
 // -- CompressionDevice --------------------------------------------------
@@ -87,9 +87,6 @@ std::size_t same_prefix(std::span<const std::byte> bytes, std::byte value) {
   return k;
 }
 }  // namespace
-
-CompressionDevice::CompressionDevice(double cpu_ns_per_byte)
-    : cpu_ns_per_byte_(cpu_ns_per_byte) {}
 
 void CompressionDevice::rle_encode_into(std::span<const std::byte> in,
                                         Bytes& out) {
@@ -146,7 +143,7 @@ void CompressionDevice::on_send(Packet& packet, SendContext& ctx) {
     return;
   }
   ctx.cpu_cost += static_cast<sim::TimeNs>(
-      cpu_ns_per_byte_ * static_cast<double>(packet.payload.size()));
+      kCpuNsPerByte * static_cast<double>(packet.payload.size()));
   Bytes encoded = arena.take();
   rle_encode_into(packet.payload, encoded);
   Bytes framed = arena.take();

@@ -16,8 +16,11 @@ namespace mdo::net {
 
 /// The paper's "delay device driver": packets whose endpoints are in
 /// different clusters are held for a configured one-way delay before
-/// being passed to the network device. Per-node-pair overrides allow
-/// arbitrary latencies between arbitrary pairs, as §5.1 describes.
+/// being passed to the network device. The delay is added to each
+/// frame's Packet::hold_ns, so a send that devices above split into
+/// several frames (striping rails, a fault-injected duplicate) holds
+/// each of them once. Per-node-pair overrides allow arbitrary latencies
+/// between arbitrary pairs, as §5.1 describes.
 class DelayDevice final : public FilterDevice {
  public:
   DelayDevice(const Topology* topo, sim::TimeNs cross_cluster_delay);
@@ -43,20 +46,21 @@ class DelayDevice final : public FilterDevice {
   std::map<std::pair<ClusterId, ClusterId>, sim::TimeNs> cluster_delay_;
 };
 
-/// Scenario-level knob bundle for the compression device.
+/// Scenario-level switch for the compression device.
 struct CompressionConfig {
   bool enabled = false;  ///< gates installation in the reliability stack
-  double cpu_ns_per_byte = 0.35;
 };
 
 /// Byte-level run-length encoding; falls back to a stored (uncompressed)
 /// block when RLE would grow the payload. One flag byte leads the wire
-/// format. Charges cpu_ns_per_byte to the send context. Malformed or
+/// format. Charges kCpuNsPerByte to the send context. Malformed or
 /// truncated frames (possible once fault injection corrupts the wire)
 /// are counted and dropped, never decoded past their bounds.
 class CompressionDevice final : public FilterDevice {
  public:
-  explicit CompressionDevice(double cpu_ns_per_byte = 0.35);
+  /// Sender CPU per payload byte encoded.
+  static constexpr double kCpuNsPerByte = 0.35;
+
   const char* name() const override { return "compress"; }
 
   /// Live retune (fabric context): while disabled, every payload is
@@ -85,7 +89,6 @@ class CompressionDevice final : public FilterDevice {
   void on_send(Packet& packet, SendContext& ctx) override;
 
  private:
-  double cpu_ns_per_byte_;
   bool encode_enabled_ = true;
   std::uint64_t bytes_saved_ = 0;
   std::uint64_t decode_failures_ = 0;

@@ -87,12 +87,12 @@ void Fabric::send_through(const FilterDevice* below, Packet&& packet,
   } else {
     chain_.apply_send_below(below, std::move(packet), ctx, wire_scratch_);
   }
-  transmit(ctx);
+  transmit();
   wire_scratch_.clear();
   wire_busy_ = false;
 }
 
-void Fabric::transmit(const SendContext& ctx) {
+void Fabric::transmit() {
   const sim::TimeNs now = host_now();
   for (Packet& frame : wire_scratch_) {
     // A crashed node cannot put new bytes on the wire: its acks and
@@ -104,7 +104,7 @@ void Fabric::transmit(const SendContext& ctx) {
     }
     ++stats_.wire_frames;
     if (!topo_->same_cluster(frame.src, frame.dst)) ++stats_.wan_wire_frames;
-    const sim::TimeNs enter_net = now + ctx.extra_delay + frame.hold_ns;
+    const sim::TimeNs enter_net = now + frame.hold_ns;
     frame.hold_ns = 0;
     const sim::TimeNs due =
         enter_net + model_->delivery_delay(frame.src, frame.dst,

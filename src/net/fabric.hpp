@@ -124,11 +124,11 @@ class Fabric : public DeviceHost {
   void send_through(const FilterDevice* below, Packet&& packet,
                     SendContext& ctx);
   /// The frame loop: squash dead-source frames, count wire frames, and
-  /// hold each until now + delay-device hold + per-frame jitter + model
-  /// delay, the model evaluated at the instant the frame leaves the
-  /// delay device (the VMI chain order of the paper: the delay device
-  /// sits above the network device).
-  void transmit(const SendContext& ctx);
+  /// hold each until now + its own hold_ns (delay device plus fault
+  /// jitter) + model delay, the model evaluated at the instant the frame
+  /// leaves the delay device (the VMI chain order of the paper: the
+  /// delay device sits above the network device).
+  void transmit();
   void deliver(std::optional<Packet>&& complete,
                std::unique_lock<std::recursive_mutex>* held);
   bool node_up(NodeId node) const { return !node_up_ || node_up_(node); }

@@ -1,5 +1,8 @@
 #include "net/metrics.hpp"
 
+#include <string>
+#include <utility>
+
 #include "net/adaptive.hpp"
 #include "net/coalesce.hpp"
 #include "net/devices.hpp"
@@ -159,19 +162,40 @@ void register_metrics(obs::MetricRegistry& reg, const ReliabilityStack& stack) {
   if (stack.faults != nullptr) register_metrics(reg, *stack.faults);
 }
 
+namespace {
+
+/// The fabric's counters and their names under `fabric.*`, for both
+/// directions: publication and read-back.
+constexpr std::pair<const char*, std::uint64_t Fabric::Stats::*>
+    kFabricCounters[] = {
+        {"packets_sent", &Fabric::Stats::packets_sent},
+        {"bytes_sent", &Fabric::Stats::bytes_sent},
+        {"packets_delivered", &Fabric::Stats::packets_delivered},
+        {"wan_packets", &Fabric::Stats::wan_packets},
+        {"wan_bytes", &Fabric::Stats::wan_bytes},
+        {"frames_injected", &Fabric::Stats::frames_injected},
+        {"dead_node_drops", &Fabric::Stats::dead_node_drops},
+        {"wire_frames", &Fabric::Stats::wire_frames},
+        {"wan_wire_frames", &Fabric::Stats::wan_wire_frames},
+};
+
+}  // namespace
+
 void register_fabric_metrics(obs::MetricRegistry& reg, const Fabric& fabric) {
   reg.add_source("fabric", [&fabric](obs::MetricSink& sink) {
     const Fabric::Stats s = fabric.stats();
-    sink.counter("packets_sent", s.packets_sent);
-    sink.counter("bytes_sent", s.bytes_sent);
-    sink.counter("packets_delivered", s.packets_delivered);
-    sink.counter("wan_packets", s.wan_packets);
-    sink.counter("wan_bytes", s.wan_bytes);
-    sink.counter("frames_injected", s.frames_injected);
-    sink.counter("dead_node_drops", s.dead_node_drops);
-    sink.counter("wire_frames", s.wire_frames);
-    sink.counter("wan_wire_frames", s.wan_wire_frames);
+    for (const auto& [name, field] : kFabricCounters) {
+      sink.counter(name, s.*field);
+    }
   });
+}
+
+Fabric::Stats read_fabric_metrics(const obs::Snapshot& snap) {
+  Fabric::Stats s;
+  for (const auto& [name, field] : kFabricCounters) {
+    s.*field = snap.counter(std::string("fabric.") + name);
+  }
+  return s;
 }
 
 }  // namespace mdo::net

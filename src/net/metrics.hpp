@@ -14,12 +14,12 @@
 // owning both the fabric (which owns the chain and devices) and the
 // registry.
 
+#include "net/fabric.hpp"
 #include "obs/metrics.hpp"
 
 namespace mdo::net {
 
 class AdaptiveController;
-class Fabric;
 class ReliableDevice;
 class FaultDevice;
 class HeartbeatDevice;
@@ -45,5 +45,11 @@ void register_metrics(obs::MetricRegistry& reg, const ReliabilityStack& stack);
 
 /// Wire-frame statistics of a fabric, under `fabric.*`.
 void register_fabric_metrics(obs::MetricRegistry& reg, const Fabric& fabric);
+
+/// The `fabric.*` counters of a snapshot (or of a snapshot diff) as
+/// Fabric::Stats; absent keys read 0. On ProcessMachine the machine
+/// registry sums every process's fabric under these keys, so this is
+/// the one way to read mesh-wide fabric counters on any backend.
+Fabric::Stats read_fabric_metrics(const obs::Snapshot& snap);
 
 }  // namespace mdo::net

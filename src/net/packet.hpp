@@ -19,8 +19,9 @@ struct Packet {
   std::int32_t priority = 0;     ///< passed through to the runtime scheduler
   sim::TimeNs inject_time = 0;   ///< when send() was called (virtual or real ns)
   sim::TimeNs hold_ns = 0;       ///< per-frame extra hold before the network
-                                 ///< device (fault-injected jitter); consumed
-                                 ///< by the fabric, never serialized
+                                 ///< device (delay device, fault-injected
+                                 ///< jitter); consumed by the fabric, never
+                                 ///< serialized
   Bytes payload;
 };
 

@@ -550,8 +550,7 @@ ReliabilityStack install_reliability_stack(
   }
   if (reliable.has_value()) {
     if (compression.enabled) {
-      stack.compress = chain.add(
-          std::make_unique<CompressionDevice>(compression.cpu_ns_per_byte));
+      stack.compress = chain.add(std::make_unique<CompressionDevice>());
     }
     if (striping.enabled) {
       stack.stripe = chain.add(

@@ -55,6 +55,7 @@ void StripingDevice::send_transform(std::vector<Packet>& packets,
       frag.id = p.id;  // fabric ids are per original send; fragments share it
       frag.priority = p.priority;
       frag.inject_time = p.inject_time;
+      frag.hold_ns = p.hold_ns;  // a hold set above applies to every rail
       frag.payload = arena.take();
       frag.payload.reserve(1 + sizeof(hdr) + n);
       frag.payload.push_back(kFragment);

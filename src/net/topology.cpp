@@ -142,61 +142,4 @@ obs::Json Topology::to_json() const {
   return doc;
 }
 
-std::optional<Topology> Topology::from_json(const obs::Json& doc) {
-  if (!doc.is_object()) return std::nullopt;
-  const obs::Json* clusters = doc.find("clusters");
-  const obs::Json* nodes = doc.find("node_cluster");
-  const obs::Json* links = doc.find("wan_links");
-  if (clusters == nullptr || !clusters->is_array() || nodes == nullptr ||
-      !nodes->is_array() || links == nullptr || !links->is_array()) {
-    return std::nullopt;
-  }
-  Topology topo;
-  for (const obs::Json& cluster : clusters->elements()) {
-    if (!cluster.is_object()) return std::nullopt;
-    const obs::Json* name = cluster.find("name");
-    if (name == nullptr || !name->is_string()) return std::nullopt;
-    topo.add_cluster(name->as_string());
-  }
-  const auto num_clusters = static_cast<std::int64_t>(topo.num_clusters());
-  for (const obs::Json& node : nodes->elements()) {
-    if (!node.is_number()) return std::nullopt;
-    std::int64_t cluster = node.as_int();
-    if (cluster < 0 || cluster >= num_clusters) return std::nullopt;
-    topo.add_node(static_cast<ClusterId>(cluster));
-  }
-  // Cross-check the per-cluster node counts against the node table.
-  for (std::size_t c = 0; c < topo.num_clusters(); ++c) {
-    const obs::Json* count = clusters->at(c).find("nodes");
-    if (count == nullptr || !count->is_number()) return std::nullopt;
-    if (static_cast<std::size_t>(count->as_int()) !=
-        topo.cluster_size(static_cast<ClusterId>(c))) {
-      return std::nullopt;
-    }
-  }
-  for (const obs::Json& link : links->elements()) {
-    if (!link.is_object()) return std::nullopt;
-    const obs::Json* src = link.find("src");
-    const obs::Json* dst = link.find("dst");
-    const obs::Json* latency = link.find("latency_ns");
-    const obs::Json* bw = link.find("bytes_per_us");
-    if (src == nullptr || !src->is_number() || dst == nullptr ||
-        !dst->is_number() || latency == nullptr || !latency->is_number() ||
-        bw == nullptr || !bw->is_number()) {
-      return std::nullopt;
-    }
-    if (src->as_int() < 0 || src->as_int() >= num_clusters ||
-        dst->as_int() < 0 || dst->as_int() >= num_clusters ||
-        src->as_int() == dst->as_int() || latency->as_int() < 0 ||
-        bw->as_double() <= 0.0) {
-      return std::nullopt;
-    }
-    topo.set_wan_link(static_cast<ClusterId>(src->as_int()),
-                      static_cast<ClusterId>(dst->as_int()),
-                      LinkParams{static_cast<sim::TimeNs>(latency->as_int()),
-                                 bw->as_double()});
-  }
-  return topo;
-}
-
 }  // namespace mdo::net

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,7 +34,6 @@ struct LinkParams {
     return static_cast<sim::TimeNs>(static_cast<double>(bytes) /
                                     bytes_per_us * 1e3);
   }
-  bool operator==(const LinkParams&) const = default;
 };
 
 class Topology {
@@ -101,12 +99,6 @@ class Topology {
   /// Snapshot the full layout (clusters, node->cluster table, WAN link
   /// table) as ordered JSON, so scenario configs are diffable artifacts.
   obs::Json to_json() const;
-
-  /// Rebuild a Topology from to_json() output. nullopt on malformed or
-  /// inconsistent documents (unknown cluster references, bad link ids).
-  static std::optional<Topology> from_json(const obs::Json& doc);
-
-  bool operator==(const Topology&) const = default;
 
  private:
   std::vector<std::string> cluster_names_;

@@ -3,15 +3,17 @@
 // simulator, the thread-per-PE machine, and the process-per-PE machine
 // over Unix-domain sockets. Parity here means the *message-layer*
 // observables agree (reduction results, WAN wire-frame counts, executed
-// message totals, the trace schema, the metric key space, and a clean
-// reliable link resending nothing); wall clocks and event interleavings
-// are free to differ.
+// message totals, the trace schema, the metric key space, an app phase's
+// fabric counters read from the registry, and a clean reliable link
+// resending nothing); wall clocks and event interleavings are free to
+// differ.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/stencil/stencil.hpp"
@@ -91,8 +93,8 @@ ParityRun run_reduction(grid::Backend backend, int rounds) {
   ParityRun out;
   out.sum = sum;
   out.num_pes = rt.machine().num_pes();
-  out.wan_wire_frames = rt.machine().fabric_stats().wan_wire_frames;
   auto snap = rt.machine().metrics().snapshot();
+  out.wan_wire_frames = snap.counter("fabric.wan_wire_frames");
   out.msgs_executed = snap.counter("rt.sched.msgs_executed");
   out.msgs_sent = snap.counter("rt.sched.msgs_sent");
   out.msgs_dropped = snap.counter("rt.sched.msgs_dropped");
@@ -226,6 +228,47 @@ TEST(BackendParity, LossFreeReliableLinkResendsNothing) {
           << backend_name(b);
       break;
     }
+  }
+}
+
+TEST(BackendParity, PhaseFabricCountersAreTheRegistryDiff) {
+  // An app phase reports its fabric counters as the registry's fabric.*
+  // diff over the phase, all nine of them, on every backend (Process
+  // sums every process's fabric under the same keys). The reliable
+  // device's acks enter the fabric below the send path, so
+  // frames_injected is above 0. No failure detector runs, so no beats
+  // cross the wire around the phase.
+  using Field = std::uint64_t net::Fabric::Stats::*;
+  const std::pair<const char*, Field> fields[] = {
+      {"packets_sent", &net::Fabric::Stats::packets_sent},
+      {"bytes_sent", &net::Fabric::Stats::bytes_sent},
+      {"packets_delivered", &net::Fabric::Stats::packets_delivered},
+      {"wan_packets", &net::Fabric::Stats::wan_packets},
+      {"wan_bytes", &net::Fabric::Stats::wan_bytes},
+      {"frames_injected", &net::Fabric::Stats::frames_injected},
+      {"dead_node_drops", &net::Fabric::Stats::dead_node_drops},
+      {"wire_frames", &net::Fabric::Stats::wire_frames},
+      {"wan_wire_frames", &net::Fabric::Stats::wan_wire_frames},
+  };
+  const grid::Scenario s =
+      grid::Scenario::artificial(2, sim::milliseconds(1.0)).with_reliability();
+  for (grid::Backend b : kBackends) {
+    core::MachineOptions opts;
+    opts.emulate_charge = false;
+    Runtime rt(grid::make_machine(s, b, opts));
+    apps::stencil::Params p;
+    p.mesh = 64;
+    p.objects = 16;
+    apps::stencil::StencilApp app(rt, p);
+    const obs::Snapshot before = rt.machine().metrics().snapshot();
+    const auto phase = app.run_steps(4);
+    const obs::Snapshot diff = rt.machine().metrics().snapshot().diff(before);
+    for (const auto& [key, field] : fields) {
+      EXPECT_EQ(phase.fabric.*field, diff.counter(std::string("fabric.") + key))
+          << backend_name(b) << ": fabric." << key;
+    }
+    EXPECT_GT(phase.fabric.packets_sent, 0u) << backend_name(b);
+    EXPECT_GT(phase.fabric.frames_injected, 0u) << backend_name(b);
   }
 }
 

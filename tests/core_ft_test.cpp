@@ -210,9 +210,7 @@ TEST(FaultToleranceThread, StencilSurvivesKilledPe) {
   auto machine = grid::make_machine(s, grid::Backend::kThread, cfg);
   auto* tm = static_cast<core::ThreadMachine*>(machine.get());
   Runtime rt(std::move(machine));
-  core::FtConfig ft_cfg;
-  ft_cfg.charge_checkpoint_time = false;
-  FaultTolerance ft(rt, tm->reliability(), ft_cfg);
+  FaultTolerance ft(rt, tm->reliability());
   ft.set_placement(ldb::recovery_placer(rt));
 
   Params p;

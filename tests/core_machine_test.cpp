@@ -9,6 +9,7 @@
 #include "core/mapping.hpp"
 #include "core/runtime.hpp"
 #include "core/sim_machine.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -88,15 +89,15 @@ TEST(SimMachineAccounting, FabricCountsOnlyCrossPeTraffic) {
       "senders", core::indices_1d(3),
       [](const Index& i) { return Pe{i.x < 2 ? 0 : 2}; },
       [](const Index&) { return std::make_unique<Sender>(); });
-  auto before = rt.machine().fabric_stats();
+  const obs::Snapshot before = rt.machine().metrics().snapshot();
   snd.send<&Sender::local_then_remote>(Index(0));
   rt.run();
-  auto after = rt.machine().fabric_stats();
+  const obs::Snapshot phase = rt.machine().metrics().snapshot().diff(before);
   // Host seed crosses nothing (PE 0 to PE 0), the local send bypasses the
   // fabric, the remote send is 1 packet and it crosses clusters.
-  EXPECT_EQ(after.packets_sent - before.packets_sent, 1u);
-  EXPECT_EQ(after.wan_packets - before.wan_packets, 1u);
-  EXPECT_GT(after.bytes_sent, before.bytes_sent);
+  EXPECT_EQ(phase.counter("fabric.packets_sent"), 1u);
+  EXPECT_EQ(phase.counter("fabric.wan_packets"), 1u);
+  EXPECT_GT(phase.counter("fabric.bytes_sent"), 0u);
 }
 
 TEST(SimMachineAccounting, TracingCapturesIntervals) {

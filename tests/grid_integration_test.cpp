@@ -14,6 +14,7 @@
 #include "core/tree.hpp"
 #include "grid/scenario.hpp"
 #include "ldb/balancers.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -175,14 +176,14 @@ std::uint64_t collective_wan_frames(std::size_t pes, std::size_t n_clusters,
       [&](const std::vector<double>& d) { sum = d.at(0); });
   for (std::size_t i = 0; i < pes; ++i)
     proxy.local(core::Index(static_cast<std::int32_t>(i)))->client = client;
-  net::Fabric::Stats before = rt.machine().fabric_stats();
+  const obs::Snapshot before = rt.machine().metrics().snapshot();
   for (int r = 0; r < rounds; ++r) {
     proxy.broadcast<&Summer::go>();
     rt.run();
   }
-  net::Fabric::Stats after = rt.machine().fabric_stats();
   if (sum_out != nullptr) *sum_out = sum;
-  return after.wan_wire_frames - before.wan_wire_frames;
+  return rt.machine().metrics().snapshot().diff(before).counter(
+      "fabric.wan_wire_frames");
 }
 
 TEST(NCluster, HierarchicalTreesCutWanFramesAndWinGrowsWithClusters) {
@@ -254,14 +255,14 @@ TEST(NCluster, BackendsAgreeOnWanFramesAndReductionResults) {
         [&](const std::vector<double>& d) { sum.store(d.at(0)); });
     for (std::int32_t i = 0; i < 16; ++i)
       proxy.local(core::Index(i))->client = client;
-    net::Fabric::Stats before = rt.machine().fabric_stats();
+    const obs::Snapshot before = rt.machine().metrics().snapshot();
     for (int r = 0; r < rounds; ++r) {
       proxy.broadcast<&Summer::go>();
       rt.run();
     }
-    net::Fabric::Stats after = rt.machine().fabric_stats();
     *sum_out = sum.load();
-    return after.wan_wire_frames - before.wan_wire_frames;
+    return rt.machine().metrics().snapshot().diff(before).counter(
+        "fabric.wan_wire_frames");
   };
   double sim_sum = 0.0, thread_sum = 0.0;
   std::uint64_t sim_frames = collective_wan_frames(

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "grid/scenario.hpp"
-#include "obs/json.hpp"
 
 namespace {
 
@@ -131,19 +130,12 @@ std::string golden_path() {
   return std::string(MDO_GOLDEN_DIR) + "/topology_real_grid_16x4.json";
 }
 
-TEST(TopologyGolden, ToJsonRoundTripsAndMatchesGoldenFile) {
+TEST(TopologyGolden, ToJsonMatchesGoldenFile) {
   const net::Topology topo = Scenario::real_grid(16, 4).topology();
   const std::string text = topo.to_json().dump(2) + "\n";
 
-  // Round trip through the parser: same topology, link table included.
-  auto parsed = obs::Json::parse(text);
-  ASSERT_TRUE(parsed.has_value());
-  auto rebuilt = net::Topology::from_json(*parsed);
-  ASSERT_TRUE(rebuilt.has_value());
-  EXPECT_EQ(*rebuilt, topo);
-
   // Golden: the serialized form is a stable artifact. Regenerate with
-  //   MDO_UPDATE_GOLDEN=1 ctest -R ToJsonRoundTrips
+  //   MDO_UPDATE_GOLDEN=1 ctest -R TopologyGolden
   // and review the diff like any other source change.
   if (std::getenv("MDO_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(golden_path());
@@ -158,30 +150,6 @@ TEST(TopologyGolden, ToJsonRoundTripsAndMatchesGoldenFile) {
   EXPECT_EQ(buf.str(), text)
       << "topology JSON drifted from the golden file; if intentional, "
          "regenerate with MDO_UPDATE_GOLDEN=1";
-}
-
-TEST(TopologyGolden, FromJsonRejectsMalformedDocuments) {
-  const net::Topology topo = Scenario::real_grid(8, 4).topology();
-  const std::string text = topo.to_json().dump();
-  auto corrupted = [&](const std::string& from, const std::string& to) {
-    std::string doc = text;
-    auto pos = doc.find(from);
-    EXPECT_NE(pos, std::string::npos) << from;
-    doc.replace(pos, from.size(), to);
-    return obs::Json::parse(doc).value();
-  };
-  // Unknown cluster reference in a link.
-  EXPECT_FALSE(
-      net::Topology::from_json(corrupted("\"src\":0", "\"src\":99"))
-          .has_value());
-  // Per-cluster node count disagreeing with the node_cluster table.
-  EXPECT_FALSE(
-      net::Topology::from_json(corrupted("\"nodes\":2", "\"nodes\":17"))
-          .has_value());
-  // Negative link latency.
-  EXPECT_FALSE(net::Topology::from_json(
-                   corrupted("\"latency_ns\":", "\"latency_ns\":-"))
-                   .has_value());
 }
 
 }  // namespace

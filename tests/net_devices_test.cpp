@@ -46,18 +46,21 @@ std::vector<Packet> wire_frames(Chain& chain, Packet p, SendContext& ctx) {
   return chain.apply_send(std::move(p), ctx);
 }
 
+/// The hold the chain puts on a send that leaves it as one frame.
+sim::TimeNs hold_of(Chain& chain, Packet p) {
+  SendContext ctx;
+  std::vector<Packet> frames = wire_frames(chain, std::move(p), ctx);
+  EXPECT_EQ(frames.size(), 1u);
+  return frames.empty() ? -1 : frames.front().hold_ns;
+}
+
 TEST(DelayDeviceTest, DelaysOnlyCrossCluster) {
   Topology topo = Topology::two_cluster(4);
   Chain chain;
   chain.add(std::make_unique<DelayDevice>(&topo, sim::milliseconds(8)));
 
-  SendContext intra;
-  wire_frames(chain, make_packet(0, 1, "x"), intra);
-  EXPECT_EQ(intra.extra_delay, 0);
-
-  SendContext inter;
-  wire_frames(chain, make_packet(0, 2, "x"), inter);
-  EXPECT_EQ(inter.extra_delay, sim::milliseconds(8));
+  EXPECT_EQ(hold_of(chain, make_packet(0, 1, "x")), 0);
+  EXPECT_EQ(hold_of(chain, make_packet(0, 2, "x")), sim::milliseconds(8));
 }
 
 TEST(DelayDeviceTest, PairOverrideWins) {
@@ -68,17 +71,10 @@ TEST(DelayDeviceTest, PairOverrideWins) {
   Chain chain;
   chain.add(std::move(delay));
 
-  SendContext a;
-  wire_frames(chain, make_packet(0, 2, "x"), a);
-  EXPECT_EQ(a.extra_delay, sim::milliseconds(32));
-
-  SendContext b;
-  wire_frames(chain, make_packet(1, 0, "x"), b);
-  EXPECT_EQ(b.extra_delay, sim::milliseconds(2));
-
-  SendContext c;  // other cross-cluster pairs keep the default
-  wire_frames(chain, make_packet(1, 3, "x"), c);
-  EXPECT_EQ(c.extra_delay, sim::milliseconds(8));
+  EXPECT_EQ(hold_of(chain, make_packet(0, 2, "x")), sim::milliseconds(32));
+  EXPECT_EQ(hold_of(chain, make_packet(1, 0, "x")), sim::milliseconds(2));
+  // Other cross-cluster pairs keep the default.
+  EXPECT_EQ(hold_of(chain, make_packet(1, 3, "x")), sim::milliseconds(8));
 }
 
 TEST(DelayDeviceTest, PairOverrideIsDirectional) {
@@ -90,13 +86,9 @@ TEST(DelayDeviceTest, PairOverrideIsDirectional) {
   Chain chain;
   chain.add(std::move(delay));
 
-  SendContext fwd;
-  wire_frames(chain, make_packet(0, 2, "x"), fwd);
-  EXPECT_EQ(fwd.extra_delay, sim::milliseconds(32));
-
-  SendContext rev;  // reverse direction: still the cross-cluster default
-  wire_frames(chain, make_packet(2, 0, "x"), rev);
-  EXPECT_EQ(rev.extra_delay, sim::milliseconds(8));
+  EXPECT_EQ(hold_of(chain, make_packet(0, 2, "x")), sim::milliseconds(32));
+  // Reverse direction: still the cross-cluster default.
+  EXPECT_EQ(hold_of(chain, make_packet(2, 0, "x")), sim::milliseconds(8));
 }
 
 TEST(DelayDeviceTest, ZeroPairOverrideBeatsCrossClusterDefault) {
@@ -108,13 +100,9 @@ TEST(DelayDeviceTest, ZeroPairOverrideBeatsCrossClusterDefault) {
   Chain chain;
   chain.add(std::move(delay));
 
-  SendContext ctx;
-  wire_frames(chain, make_packet(1, 3, "x"), ctx);
-  EXPECT_EQ(ctx.extra_delay, 0);
-
-  SendContext other;  // a different cross-cluster pair keeps the default
-  wire_frames(chain, make_packet(0, 3, "x"), other);
-  EXPECT_EQ(other.extra_delay, sim::milliseconds(8));
+  EXPECT_EQ(hold_of(chain, make_packet(1, 3, "x")), 0);
+  // A different cross-cluster pair keeps the default.
+  EXPECT_EQ(hold_of(chain, make_packet(0, 3, "x")), sim::milliseconds(8));
 }
 
 TEST(CompressionTest, RleRoundtrip) {
@@ -476,7 +464,9 @@ TEST(ComposedChainTest, FullStackRoundtrip) {
   body += "trailer-entropy-0123456789";
   SendContext ctx;
   auto frames = wire_frames(chain, make_packet(0, 2, body, 77), ctx);
-  EXPECT_EQ(ctx.extra_delay, sim::milliseconds(4));
+  ASSERT_GT(frames.size(), 1u);
+  // Held above the striping device, every fragment carries the delay once.
+  for (const Packet& f : frames) EXPECT_EQ(f.hold_ns, sim::milliseconds(4));
 
   std::optional<Packet> out;
   for (auto& f : frames) {

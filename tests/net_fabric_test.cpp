@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "net/devices.hpp"
+#include "net/faults.hpp"
 #include "net/sim_fabric.hpp"
 #include "net/socket_fabric.hpp"
 #include "net/striping.hpp"
@@ -101,6 +102,51 @@ TEST(SimFabricTest, StripedFragmentsArriveAsOne) {
   engine.run();
   EXPECT_EQ(deliveries, 1);
   EXPECT_EQ(got, body);
+}
+
+/// Arrival times at node 1 of one `bytes`-byte send from node 0 through
+/// `chain`, over 50 us links.
+std::vector<sim::TimeNs> arrivals_of(const Topology& topo, Chain chain,
+                                     std::size_t bytes) {
+  sim::Engine engine;
+  net::FixedLatencyModel model(sim::microseconds(50));
+  SimFabric fabric(&engine, &topo, &model, std::move(chain));
+  std::vector<sim::TimeNs> at;
+  fabric.set_delivery_handler(1, [&](Packet&&) { at.push_back(engine.now()); });
+  fabric.send(text_packet(0, 1, std::string(bytes, 'd')));
+  engine.run();
+  return at;
+}
+
+TEST(SimFabricTest, StripedSendIsHeldOnce) {
+  // The delay device holds each frame, not the send: a payload striped
+  // into four rails above it arrives one delay after it left, as a
+  // payload too small to stripe does.
+  const Topology topo = Topology::two_cluster(2);
+  auto striped = [&] {
+    Chain chain;
+    chain.add(std::make_unique<net::StripingDevice>(4, 64));
+    chain.add(std::make_unique<net::DelayDevice>(&topo, sim::milliseconds(5)));
+    return chain;
+  };
+  const std::vector<sim::TimeNs> once{sim::milliseconds(5) +
+                                      sim::microseconds(50)};
+  EXPECT_EQ(arrivals_of(topo, striped(), 16), once);
+  EXPECT_EQ(arrivals_of(topo, striped(), 256), once);
+}
+
+TEST(SimFabricTest, DuplicatedFrameIsHeldOnce) {
+  // A frame the fault device duplicates above the delay device leaves as
+  // two frames; each twin is held for the delay once.
+  const Topology topo = Topology::two_cluster(2);
+  net::FaultConfig twice;
+  twice.duplicate = 1.0;
+  Chain chain;
+  chain.add(std::make_unique<net::FaultDevice>(twice));
+  chain.add(std::make_unique<net::DelayDevice>(&topo, sim::milliseconds(5)));
+  const sim::TimeNs due = sim::milliseconds(5) + sim::microseconds(50);
+  EXPECT_EQ(arrivals_of(topo, std::move(chain), 16),
+            (std::vector<sim::TimeNs>{due, due}));
 }
 
 TEST(SimFabricTest, WireOrderIsFifoPerLink) {

@@ -21,6 +21,7 @@
 #include "grid/scenario.hpp"
 #include "ldb/balancers.hpp"
 #include "machine_probe.hpp"
+#include "net/metrics.hpp"
 
 namespace {
 
@@ -65,9 +66,9 @@ StencilOutcome run_stencil(const grid::Scenario& s, grid::Backend backend,
   app.run_steps(steps);
   StencilOutcome out;
   out.mesh = app.gather_mesh();
-  out.msgs_executed =
-      rt.machine().metrics().snapshot().counter("rt.sched.msgs_executed");
-  out.fabric = rt.machine().fabric_stats();
+  const obs::Snapshot snap = rt.machine().metrics().snapshot();
+  out.msgs_executed = snap.counter("rt.sched.msgs_executed");
+  out.fabric = net::read_fabric_metrics(snap);
   return out;
 }
 
@@ -137,9 +138,7 @@ TEST(ProcessMachine, SigkilledPeIsDetectedAndRecoveredFromBuddyCheckpoint) {
       grid::make_machine(s, grid::Backend::kProcess, wall_clock_options());
   auto* pm = static_cast<core::ProcessMachine*>(machine.get());
   Runtime rt(std::move(machine));
-  core::FtConfig ft_cfg;
-  ft_cfg.charge_checkpoint_time = false;
-  FaultTolerance ft(rt, pm->reliability(), ft_cfg);
+  FaultTolerance ft(rt, pm->reliability());
   ft.set_placement(ldb::recovery_placer(rt));
 
   Params p = stencil_params();
